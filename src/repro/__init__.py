@@ -9,7 +9,7 @@ Layering (bottom up):
 - :mod:`repro.transforms` — unrolling and the post-unroll cleanup passes;
 - :mod:`repro.sched` — list scheduling, modulo scheduling, register pressure;
 - :mod:`repro.simulate` — the cycle cost model, caches, measurement noise;
-- :mod:`repro.instrument` — loop timers and the raw-data release format;
+- :mod:`repro.instrument` — measurement rollups and the raw-data release format;
 - :mod:`repro.features` — the 38-feature catalog and extractor;
 - :mod:`repro.workloads` — kernels, body patterns, the 72-benchmark suite;
 - :mod:`repro.ml` — NN, LS-SVM with output codes, LDA, CV, selection;

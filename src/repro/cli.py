@@ -17,9 +17,7 @@ Subcommands map one-to-one onto the paper's artefacts:
   stdin through a bounded, deadline-aware gateway (the serve-many half).
 * ``measure`` — fault-tolerant measurement run: per-unit retries and
   timeouts, quarantine instead of abort, and a checkpoint journal so
-  ``--resume`` continues a killed run bit-identically.  ``--dedup``
-  measures one representative per content-addressed equivalence class and
-  fans results back out, bit-identical to a full run.
+  ``--resume`` continues a killed run bit-identically.
 * ``lifecycle`` — the closed loop over a serving fleet: replay the
   request log for drift (confidence, vote entropy, feature shift vs the
   training fingerprint), measure flagged loops through the resilient
@@ -30,7 +28,7 @@ Subcommands map one-to-one onto the paper's artefacts:
   ``--lifecycle-poll-s`` runs the same loop in-process.
 * ``export`` — dump the raw loop data in the release format.
 * ``cache`` — inspect or prune the measurement cache (stats/gc/clear).
-* ``bench`` — time the measure/dedup/label/select/serve stages against the
+* ``bench`` — time the measure/label/select/serve stages against the
   reference implementations and write a ``BENCH_<date>.json`` perf report.
 
 Measurement fans out over ``--jobs`` worker processes (or ``$REPRO_JOBS``);
@@ -611,7 +609,7 @@ def cmd_measure(args) -> int:
     from repro.workloads.generator import generate_suite
 
     _install_fault_plan_arg(args)
-    config = LabelingConfig(seed=args.seed, swp=args.swp, dedup=args.dedup)
+    config = LabelingConfig(seed=args.seed, swp=args.swp)
     suite = generate_suite(seed=args.seed, loops_scale=args.scale)
     key = config_key(args.seed, args.scale, config)
     store = CacheStore(args.cache_dir)
@@ -621,12 +619,8 @@ def cmd_measure(args) -> int:
         print(f"measurement table {key} already cached at {store.path_for(key)}")
         return 0
 
-    # A dedup run's journal holds class-key units, not (benchmark, factor)
-    # units, so it gets its own run key and default path — the cache key is
-    # shared (the tables are bit-identical) but the journals never mix.
-    run_key = f"{key}-dedup" if args.dedup else key
-    journal_path = args.journal or store.root / f"journal_{run_key}.jsonl"
-    journal = CheckpointJournal(journal_path, run_key=run_key)
+    journal_path = args.journal or store.root / f"journal_{key}.jsonl"
+    journal = CheckpointJournal(journal_path, run_key=key)
     if args.resume:
         try:
             replayed = journal.load()
@@ -862,9 +856,9 @@ def cmd_bench(args) -> int:
     config = dataclasses.replace(config, suite_seed=args.seed)
     report = run_bench(config)
     print(report.summary())
-    dedup = report.stage("dedup").detail
-    if not dedup.get("picks_match", True):
-        print("WARNING: dedup measurement tables diverge from dedup-off")
+    measure = report.stage("measure").detail
+    if not measure.get("picks_match", True):
+        print("WARNING: reference-engine measurement tables diverge from production")
     select = report.stage("select").detail
     if not select.get("picks_match", True):
         print("WARNING: fast and reference feature selection disagree")
@@ -1067,12 +1061,6 @@ def main(argv=None) -> int:
         "--resume",
         action="store_true",
         help="replay the checkpoint journal and execute only missing units",
-    )
-    measure_parser.add_argument(
-        "--dedup",
-        action="store_true",
-        help="measure one representative per content-addressed equivalence "
-        "class and fan results out (bit-identical to a full run)",
     )
     measure_parser.add_argument(
         "--journal",

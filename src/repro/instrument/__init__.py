@@ -1,8 +1,8 @@
-"""Loop instrumentation: timers, measurement protocol, raw-data export."""
+"""Measurement accounting (unit timings, resilience events) and the raw
+loop-data release format."""
 
 from repro.instrument.report import (
     FORMAT_VERSION,
-    DedupStats,
     LoopRecord,
     MeasurementRollup,
     ResilienceEvent,
@@ -10,24 +10,13 @@ from repro.instrument.report import (
     read_records,
     write_records,
 )
-from repro.instrument.timers import (
-    LoopMeasurement,
-    LoopTimerBank,
-    measure_benchmark,
-    measure_loop,
-)
 
 __all__ = [
-    "DedupStats",
     "FORMAT_VERSION",
-    "LoopMeasurement",
     "LoopRecord",
-    "LoopTimerBank",
     "MeasurementRollup",
     "ResilienceEvent",
     "UnitTiming",
-    "measure_benchmark",
-    "measure_loop",
     "read_records",
     "write_records",
 ]

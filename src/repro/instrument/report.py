@@ -37,53 +37,6 @@ class ResilienceEvent:
 
 
 @dataclass(frozen=True)
-class DedupStats:
-    """What content-addressed dedup did to one measurement run.
-
-    ``n_cost_classes`` counts the strict (cost-key) equivalence classes —
-    the classes actually measured, each fanned back out to its members.
-    ``n_structural_classes`` counts the looser trip-count-agnostic classes;
-    ``class_merges`` (= ``n_loops - n_structural_classes``) is the merge
-    statistic the bench reports.  The incremental counters aggregate the
-    cross-factor analysis reuse the class sweeps achieved.
-    """
-
-    n_loops: int
-    n_cost_classes: int
-    n_structural_classes: int
-    class_merges: int  # n_loops - n_structural_classes
-    cost_merges: int  # n_loops - n_cost_classes (rows served by a twin)
-    lsh_candidate_pairs: int = 0
-    lsh_confirmed_pairs: int = 0
-    incremental_hits: int = 0
-    incremental_misses: int = 0
-
-    def incremental_hit_rate(self) -> float:
-        total = self.incremental_hits + self.incremental_misses
-        return self.incremental_hits / total if total else 0.0
-
-    def summary(self) -> str:
-        text = (
-            f"dedup: {self.n_loops} loops -> {self.n_cost_classes} measured "
-            f"class(es) ({self.cost_merges} merged), "
-            f"{self.n_structural_classes} structural class(es) "
-            f"({self.class_merges} trip-only twins)"
-        )
-        reuse = self.incremental_hits + self.incremental_misses
-        if reuse:
-            text += (
-                f"; incremental reuse {self.incremental_hits}/{reuse} "
-                f"({100.0 * self.incremental_hit_rate():.0f}%)"
-            )
-        if self.lsh_candidate_pairs:
-            text += (
-                f"; LSH flagged {self.lsh_candidate_pairs} candidate pair(s), "
-                f"{self.lsh_confirmed_pairs} confirmed"
-            )
-        return text
-
-
-@dataclass(frozen=True)
 class UnitTiming:
     """Wall-clock accounting for one measurement work unit.
 
@@ -112,7 +65,6 @@ class MeasurementRollup:
 
     timings: list[UnitTiming] = field(default_factory=list)
     events: list[ResilienceEvent] = field(default_factory=list)
-    dedup: DedupStats | None = None  # set by dedup-enabled measurement runs
 
     def record(self, timing: UnitTiming) -> None:
         self.timings.append(timing)
@@ -226,8 +178,6 @@ class MeasurementRollup:
                 f"; analysis cache {self.analysis_hits()}/{lookups} hits "
                 f"({100.0 * self.analysis_hit_rate():.0f}%)"
             )
-        if self.dedup is not None:
-            text += f"; {self.dedup.summary()}"
         resilience = self.resilience_summary()
         if resilience:
             text += f"; {resilience}"

@@ -6,14 +6,6 @@ Compiler's loop optimizer manipulates.
 """
 
 from repro.ir.builder import LoopBuilder
-from repro.ir.canonical import (
-    CanonicalForm,
-    canonical_form,
-    canonical_key,
-    canonicalize,
-    cost_key,
-    structural_key,
-)
 from repro.ir.dependence import (
     DepEdge,
     DependenceGraph,
@@ -49,7 +41,6 @@ from repro.ir.values import AffineIndex, Imm, MemRef, Reg, carried_distance
 __all__ = [
     "AffineIndex",
     "Benchmark",
-    "CanonicalForm",
     "CmpOp",
     "DepEdge",
     "DepKind",
@@ -74,11 +65,7 @@ __all__ = [
     "UNROLL_FACTORS",
     "ValidationError",
     "analyze_dependences",
-    "canonical_form",
-    "canonical_key",
-    "canonicalize",
     "carried_distance",
-    "cost_key",
     "edge_latency",
     "format_instruction",
     "format_loop",
@@ -86,6 +73,5 @@ __all__ = [
     "is_valid_loop",
     "run_loop",
     "run_unrolled",
-    "structural_key",
     "validate_loop",
 ]

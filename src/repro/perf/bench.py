@@ -1,14 +1,12 @@
-"""The ``repro bench`` harness: time measure -> dedup -> label -> select
--> serve.
+"""The ``repro bench`` harness: time measure -> label -> select -> serve.
 
 Every stage is timed through two implementations:
 
 * **reference** — the seed's code paths, kept verbatim behind
   ``engine="reference"`` switches (from-scratch loop analysis per regime,
-  per-loop scalar noise draws, from-scratch NN/SVM refits per candidate
-  feature subset);
-* **optimized** — the current defaults (two-stage cost model with the
-  shared analysis cache, batched noise, incremental Gram/distance
+  from-scratch NN/SVM refits per candidate feature subset);
+* **optimized** — the current defaults (the incremental two-stage cost
+  model with the shared analysis cache, incremental Gram/distance
   workspaces, artifact-served batch prediction).
 
 The report is written as ``BENCH_<date>.json`` (schema below, versioned by
@@ -63,7 +61,11 @@ import numpy as np
 #: always whole old bytes or whole new bytes — and ``rollback_ok``: the
 #: last-good restore returns the registry to the incumbent's exact
 #: checksum) plus its ``lifecycle_rows`` sizing knob in ``config``.
-BENCH_SCHEMA_VERSION = 7
+#: v8: removed the ``dedup`` stage (content-addressed measurement is
+#: gone); the ``measure`` stage's reference side now uses the production
+#: noise contract, and its detail gains ``picks_match`` — the reference
+#: engine's tables are byte-identical to the production tables.
+BENCH_SCHEMA_VERSION = 8
 
 #: Importable alias: CI's bench-smoke compares emitted reports against
 #: this name (``from repro.perf.bench import SCHEMA_VERSION``).
@@ -182,21 +184,20 @@ def _bench_measure(suite, config: BenchConfig) -> tuple[StageTiming, object, obj
     """Time serial suite measurement, both SWP regimes combined.
 
     Reference: two standalone :func:`measure_suite` runs through the
-    seed's cost model and per-loop scalar noise.  Optimized: one
-    :func:`measure_suite_pair` run sharing loop analyses across regimes.
-    Returns the timing and both optimized tables (the SWP-off table feeds
-    the label stage; both are the dedup stage's bit-identity baseline).
+    seed's from-scratch cost model.  Optimized: one
+    :func:`measure_suite_pair` run on the production (incremental) engine,
+    sharing loop analyses across regimes.  ``picks_match`` asserts the two
+    sides' tables are byte-identical.  Returns the timing and both
+    optimized tables (the SWP-off table feeds the label stage).
     """
     from repro.instrument import MeasurementRollup
     from repro.pipeline import LabelingConfig, measure_suite, measure_suite_pair
 
-    reference_off = LabelingConfig(
-        seed=config.suite_seed, swp=False, engine="reference", batched_noise=False
-    )
+    reference_off = LabelingConfig(seed=config.suite_seed, engine="reference")
     reference_on = dataclasses.replace(reference_off, swp=True)
     start = time.perf_counter()
-    measure_suite(suite, reference_off)
-    measure_suite(suite, reference_on)
+    ref_off = measure_suite(suite, reference_off)
+    ref_on = measure_suite(suite, reference_on)
     reference_seconds = time.perf_counter() - start
 
     optimized = LabelingConfig(seed=config.suite_seed)
@@ -206,6 +207,12 @@ def _bench_measure(suite, config: BenchConfig) -> tuple[StageTiming, object, obj
         suite, optimized, rollup_off=rollup_off, rollup_on=rollup_on
     )
     optimized_seconds = time.perf_counter() - start
+
+    def identical(a, b) -> bool:
+        return (
+            a.measured.tobytes() == b.measured.tobytes()
+            and a.true_cycles.tobytes() == b.true_cycles.tobytes()
+        )
 
     hits = rollup_off.analysis_hits() + rollup_on.analysis_hits()
     misses = rollup_off.analysis_misses() + rollup_on.analysis_misses()
@@ -219,74 +226,10 @@ def _bench_measure(suite, config: BenchConfig) -> tuple[StageTiming, object, obj
             "analysis_hits": hits,
             "analysis_misses": misses,
             "analysis_hit_rate": round(hits / (hits + misses), 4) if hits + misses else 0.0,
+            "picks_match": identical(ref_off, table_off) and identical(ref_on, table_on),
         },
     )
     return timing, table_off, table_on
-
-
-def _bench_dedup(
-    suite, config: BenchConfig, measure_timing: StageTiming, table_off, table_on
-) -> StageTiming:
-    """Time the content-addressed measurement path against the seed's.
-
-    Reference: the seed measurement path — identical to the ``measure``
-    stage's reference side, so its wall clock is *reused*, not re-run
-    (``reference_reused_from_measure`` in the detail).  Optimized: one
-    dedup-enabled :func:`measure_suite_pair` — one work unit per cost-key
-    equivalence class, swept across factors by the incremental engine and
-    fanned back out to every member.  ``picks_match`` asserts the dedup
-    tables are bit-identical to the measure stage's optimized tables;
-    ``speedup_vs_fast`` is the honest marginal over the already-optimized
-    dedup-off pair (the headline speedup is over the seed path, like
-    every other stage).
-    """
-    from repro.instrument import MeasurementRollup
-    from repro.pipeline import LabelingConfig, measure_suite_pair
-
-    dedup_config = LabelingConfig(seed=config.suite_seed, dedup=True)
-    rollup_off, rollup_on = MeasurementRollup(), MeasurementRollup()
-    start = time.perf_counter()
-    dedup_off, dedup_on = measure_suite_pair(
-        suite, dedup_config, rollup_off=rollup_off, rollup_on=rollup_on
-    )
-    optimized_seconds = time.perf_counter() - start
-
-    def identical(a, b) -> bool:
-        return (
-            a.measured.tobytes() == b.measured.tobytes()
-            and a.true_cycles.tobytes() == b.true_cycles.tobytes()
-        )
-
-    picks_match = identical(dedup_off, table_off) and identical(dedup_on, table_on)
-    stats = rollup_off.dedup
-    inc_hits = rollup_off.dedup.incremental_hits + rollup_on.dedup.incremental_hits
-    inc_misses = (
-        rollup_off.dedup.incremental_misses + rollup_on.dedup.incremental_misses
-    )
-    return StageTiming(
-        stage="dedup",
-        reference_seconds=measure_timing.reference_seconds,
-        optimized_seconds=optimized_seconds,
-        detail={
-            "n_loops": stats.n_loops,
-            "n_cost_classes": stats.n_cost_classes,
-            "n_structural_classes": stats.n_structural_classes,
-            "class_merges": stats.class_merges,
-            "cost_merges": stats.cost_merges,
-            "incremental_hits": inc_hits,
-            "incremental_misses": inc_misses,
-            "incremental_hit_rate": (
-                round(inc_hits / (inc_hits + inc_misses), 4)
-                if inc_hits + inc_misses
-                else 0.0
-            ),
-            "picks_match": bool(picks_match),
-            "reference_reused_from_measure": True,
-            "speedup_vs_fast": round(
-                measure_timing.optimized_seconds / optimized_seconds, 3
-            ),
-        },
-    )
 
 
 def _bench_label(table, config: BenchConfig) -> tuple[StageTiming, object]:
@@ -976,7 +919,7 @@ def _bench_lifecycle(dataset, artifact, config: BenchConfig) -> StageTiming:
 
 
 def run_bench(config: BenchConfig | None = None) -> BenchReport:
-    """Run the full measure -> dedup -> label -> select -> serve ->
+    """Run the full measure -> label -> select -> serve ->
     daemon -> families -> multiproc -> lifecycle bench, serially."""
     from repro.registry import train_model_artifact
     from repro.workloads import generate_suite
@@ -984,7 +927,6 @@ def run_bench(config: BenchConfig | None = None) -> BenchReport:
     config = config or BenchConfig()
     suite = generate_suite(seed=config.suite_seed, loops_scale=config.loops_scale)
     measure_timing, table_off, table_on = _bench_measure(suite, config)
-    dedup_timing = _bench_dedup(suite, config, measure_timing, table_off, table_on)
     label_timing, dataset = _bench_label(table_off, config)
     select_timing = _bench_select(dataset, config)
     artifact = train_model_artifact(dataset)  # offline: not part of any stage
@@ -998,7 +940,6 @@ def run_bench(config: BenchConfig | None = None) -> BenchReport:
         date=datetime.date.today().isoformat(),
         stages=(
             measure_timing,
-            dedup_timing,
             label_timing,
             select_timing,
             serve_timing,

@@ -90,12 +90,8 @@ def config_key(suite_seed: int, loops_scale: float, config: LabelingConfig) -> s
         "swp": config.swp,
         "n_runs": config.n_runs,
         "noise": dataclasses.asdict(config.noise),
-        # The noise stream contract changes the medians; the cost-model
-        # engine and content-addressed dedup do not (fast, incremental,
-        # and reference are bit-identical, and a dedup run fans out to
-        # the same bytes as measuring every loop), so only the former
-        # participates in the key.
-        "batched_noise": config.batched_noise,
+        # The cost-model engine is left out: incremental and reference
+        # produce bit-identical tables.
         "machine": _machine_fingerprint(config.machine),
         "workloads_version": WORKLOADS_VERSION,
         "schema": SCHEMA_VERSION,

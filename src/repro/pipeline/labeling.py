@@ -43,14 +43,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.features.extract import extract_features
-from repro.instrument.report import DedupStats, MeasurementRollup, UnitTiming
-from repro.ir.loop import Loop
+from repro.instrument.report import MeasurementRollup, UnitTiming
 from repro.ir.program import Benchmark, Suite
 from repro.ir.types import MAX_UNROLL
 from repro.machine.itanium2 import ITANIUM2
 from repro.machine.model import MachineModel
 from repro.ml.dataset import LoopDataset
-from repro.pipeline.dedup import DedupIndex, build_dedup_index
 from repro.pipeline.measurements import MeasurementTable
 from repro.resilience.executor import (
     DEFAULT_RESILIENCE,
@@ -72,22 +70,11 @@ from repro.simulate.noise import DEFAULT_NOISE, NoiseModel
 class LabelingConfig:
     """Knobs of the labelling protocol (paper defaults).
 
-    ``engine`` selects the cost-model implementation (``"fast"`` and
-    ``"incremental"`` are bit-identical to ``"reference"``; the latter
-    exists as the bench baseline).  ``batched_noise`` selects the noise
-    stream contract: one ``(n_loops, n_runs)`` block draw per work unit
-    (the default) versus the legacy per-loop scalar draws.  The two
-    contracts consume the generator in different orders, so
-    ``batched_noise`` changes measured medians and participates in the
-    measurement cache key; ``engine`` does not.
-
-    ``dedup`` switches the fan-out to content-addressed work units: one
-    representative per cost-key equivalence class
-    (:func:`repro.pipeline.dedup.build_dedup_index`) is measured across
-    all factors and the per-entry sweep is fanned back out to every class
-    member, replaying each (benchmark, factor) unit's own noise stream —
-    the resulting tables are bit-identical to a dedup-off run, so
-    ``dedup`` is excluded from the measurement cache key too.
+    ``engine`` selects the cost-model implementation: ``"incremental"``
+    (the production engine) or ``"reference"`` (the from-scratch oracle
+    the equivalence tests and ``repro bench`` compare it against).  The two
+    are bit-identical, so ``engine`` does not participate in the
+    measurement cache key.
     """
 
     seed: int = 20050320
@@ -97,9 +84,7 @@ class LabelingConfig:
     n_runs: int = 30
     min_cycles: float = 50_000.0
     min_benefit: float = 1.05
-    engine: str = "fast"
-    batched_noise: bool = True
-    dedup: bool = False
+    engine: str = "incremental"
 
 
 @dataclass
@@ -118,25 +103,6 @@ class LabelingStats:
             f"{self.n_below_cycle_floor} below the cycle floor, "
             f"{self.n_flat} flat (< min benefit), {self.n_labeled} labelled"
         )
-
-
-def measure_loop_cycles(
-    loop: Loop,
-    cost_model: CostModel,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    n_runs: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(measured_median, true)`` cycles for factors 1..8."""
-    measured = np.empty(MAX_UNROLL)
-    true = np.empty(MAX_UNROLL)
-    for factor in range(1, MAX_UNROLL + 1):
-        true_cycles = cost_model.loop_cost(loop, factor).total_cycles
-        true[factor - 1] = true_cycles
-        measured[factor - 1] = noise.median_measurement(
-            true_cycles, loop.entry_count, rng, n=n_runs
-        )
-    return measured, true
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -222,22 +188,6 @@ def _unit_cost_model(config: LabelingConfig) -> CostModel:
     return shared_cost_model(config.machine, config.swp, config.engine)
 
 
-def _class_engine(config: LabelingConfig) -> str:
-    """Engine of the class sweeps: incremental (bit-identical to "fast",
-    and the sweep's ascending factor order is exactly what it exploits)
-    unless the caller explicitly asked for the from-scratch reference."""
-    return "reference" if config.engine == "reference" else "incremental"
-
-
-def _class_cost_model(config: LabelingConfig) -> CostModel:
-    """The cost model a dedup class sweep uses when the caller supplies
-    none (the pool path; serial runs bind a private model instead)."""
-    engine = _class_engine(config)
-    if engine == "reference":
-        return CostModel(machine=config.machine, swp=config.swp, engine="reference")
-    return shared_cost_model(config.machine, config.swp, engine)
-
-
 def measure_benchmark_factor(
     benchmark: Benchmark,
     bench_index: int,
@@ -252,11 +202,8 @@ def measure_benchmark_factor(
     every loop of ``benchmark`` compiled at ``factor`` — timed over
     ``config.n_runs`` runs.  The unit owns an RNG derived from its own seed
     child, so results are independent of which worker runs it and of the
-    order units complete in.
-
-    With ``config.batched_noise`` (the default) the unit draws one
-    ``(n_loops, n_runs)`` sample batch per the noise module's stream
-    contract; otherwise it replays the legacy per-loop scalar draws.
+    order units complete in: it draws one ``(n_loops, n_runs)`` sample
+    batch per the noise module's stream contract.
     """
     start = time.perf_counter()
     if cost_model is None:
@@ -270,14 +217,7 @@ def measure_benchmark_factor(
     for i, loop in enumerate(benchmark.loops):
         true[i] = cost_model.loop_cost(loop, factor).total_cycles
         entry_counts[i] = loop.entry_count
-    if config.batched_noise:
-        measured = config.noise.batch_medians(true, entry_counts, rng, n=config.n_runs)
-    else:
-        measured = np.empty(n)
-        for i in range(n):
-            measured[i] = config.noise.median_measurement(
-                true[i], int(entry_counts[i]), rng, n=config.n_runs
-            )
+    measured = config.noise.batch_medians(true, entry_counts, rng, n=config.n_runs)
     return UnitResult(
         bench_index=bench_index,
         factor=factor,
@@ -316,119 +256,6 @@ def measure_benchmark_factor_pair(
     on = measure_benchmark_factor(
         benchmark, bench_index, factor, config_on, seed, cost_models[1]
     )
-    return off, on
-
-
-@dataclass(frozen=True)
-class ClassUnitResult:
-    """Output of one dedup work unit: the representative loop of one
-    cost-key equivalence class swept across every unroll factor.
-
-    ``per_entry`` holds noise-free cycles per loop entry (factor 1..8);
-    totals and measurement noise are reconstructed per member during
-    fan-out.  The incremental counters report how much cross-factor
-    analysis the sweep reused."""
-
-    class_key: str
-    per_entry: np.ndarray  # (MAX_UNROLL,) noise-free cycles per entry
-    worker: int
-    seconds: float
-    analysis_hits: int = 0
-    analysis_misses: int = 0
-    incremental_hits: int = 0
-    incremental_misses: int = 0
-
-
-def class_unit_to_json(unit: ClassUnitResult) -> dict:
-    """A :class:`ClassUnitResult` as a JSON-safe dict (journal payload).
-
-    The equivalence-class key rides along explicitly (it is also the
-    journal label), so a resumed dedup run can neither re-measure a
-    completed class nor fan a payload out to the wrong members.
-    """
-    return {
-        "class_key": unit.class_key,
-        "per_entry": [float(v) for v in unit.per_entry],
-        "worker": unit.worker,
-        "seconds": unit.seconds,
-        "analysis_hits": unit.analysis_hits,
-        "analysis_misses": unit.analysis_misses,
-        "incremental_hits": unit.incremental_hits,
-        "incremental_misses": unit.incremental_misses,
-    }
-
-
-def class_unit_from_json(payload: dict) -> ClassUnitResult:
-    """Inverse of :func:`class_unit_to_json`."""
-    return ClassUnitResult(
-        class_key=str(payload["class_key"]),
-        per_entry=np.asarray(payload["per_entry"], dtype=np.float64),
-        worker=int(payload["worker"]),
-        seconds=float(payload["seconds"]),
-        analysis_hits=int(payload["analysis_hits"]),
-        analysis_misses=int(payload["analysis_misses"]),
-        incremental_hits=int(payload["incremental_hits"]),
-        incremental_misses=int(payload["incremental_misses"]),
-    )
-
-
-def _class_pair_to_json(pair: tuple[ClassUnitResult, ClassUnitResult]) -> dict:
-    return {"off": class_unit_to_json(pair[0]), "on": class_unit_to_json(pair[1])}
-
-
-def _class_pair_from_json(payload: dict) -> tuple[ClassUnitResult, ClassUnitResult]:
-    return class_unit_from_json(payload["off"]), class_unit_from_json(payload["on"])
-
-
-def measure_class(
-    loop: Loop,
-    class_key: str,
-    config: LabelingConfig,
-    cost_model: CostModel | None = None,
-) -> ClassUnitResult:
-    """Execute one dedup work unit: sweep the class representative across
-    factors 1..8 and return the noise-free per-entry cycle vector.
-
-    Noise is deliberately absent here — each *member's* measurement noise
-    is replayed during fan-out from that member's own (benchmark, factor)
-    seed child, so the assembled table is bit-identical to a dedup-off
-    run regardless of how loops were grouped into classes.
-    """
-    start = time.perf_counter()
-    if cost_model is None:
-        cost_model = _class_cost_model(config)
-    cache = cost_model.analysis
-    hits0, misses0 = cache.hits, cache.misses
-    inc_hits0 = cost_model.incremental_hits
-    inc_misses0 = cost_model.incremental_misses
-    per_entry = np.empty(MAX_UNROLL)
-    for factor in range(1, MAX_UNROLL + 1):
-        per_entry[factor - 1] = cost_model.loop_cost(loop, factor).per_entry_cycles
-    return ClassUnitResult(
-        class_key=class_key,
-        per_entry=per_entry,
-        worker=os.getpid(),
-        seconds=time.perf_counter() - start,
-        analysis_hits=cache.hits - hits0,
-        analysis_misses=cache.misses - misses0,
-        incremental_hits=cost_model.incremental_hits - inc_hits0,
-        incremental_misses=cost_model.incremental_misses - inc_misses0,
-    )
-
-
-def measure_class_pair(
-    loop: Loop,
-    class_key: str,
-    config_off: LabelingConfig,
-    config_on: LabelingConfig,
-    cost_models: tuple[CostModel, CostModel] | None = None,
-) -> tuple[ClassUnitResult, ClassUnitResult]:
-    """One dedup work unit swept in both scheduling regimes back to back
-    (the class-level analogue of :func:`measure_benchmark_factor_pair`)."""
-    if cost_models is None:
-        cost_models = (_class_cost_model(config_off), _class_cost_model(config_on))
-    off = measure_class(loop, class_key, config_off, cost_models[0])
-    on = measure_class(loop, class_key, config_on, cost_models[1])
     return off, on
 
 
@@ -523,102 +350,6 @@ def _bind_serial(benchmark, bi, factor, config, seed, cost_model):
     )
 
 
-def _bind_serial_class(loop, class_key, config, cost_model):
-    return lambda: measure_class(loop, class_key, config, cost_model)
-
-
-def _bind_serial_class_pair(loop, class_key, config_off, config_on, models):
-    return lambda: measure_class_pair(loop, class_key, config_off, config_on, models)
-
-
-def _fan_out(
-    suite: Suite,
-    config: LabelingConfig,
-    index: DedupIndex,
-    class_results: dict[int, ClassUnitResult],
-    seeds: list[list[np.random.SeedSequence]],
-) -> dict[tuple[int, int], UnitResult]:
-    """Expand class sweeps into synthetic per-(benchmark, factor) units.
-
-    Each member row's true cycles are ``per_entry * entry_count`` — the
-    exact multiply the cost model performs — and each (benchmark, factor)
-    unit's noise stream is replayed from its own seed child exactly as
-    :func:`measure_benchmark_factor` would consume it, so the merge below
-    is bit-identical to a dedup-off run.  A quarantined class leaves NaN
-    in its members' true cycles; the noise contract propagates the NaN
-    per row without disturbing the other rows' draws.
-    """
-    results: dict[tuple[int, int], UnitResult] = {}
-    for bi, benchmark in enumerate(suite.benchmarks):
-        n = benchmark.n_loops
-        entry_counts = np.array(
-            [loop.entry_count for loop in benchmark.loops], dtype=np.int64
-        )
-        class_ids = [index.class_of[(bi, li)] for li in range(n)]
-        for factor in range(1, MAX_UNROLL + 1):
-            true = np.empty(n)
-            for i, ci in enumerate(class_ids):
-                unit = class_results.get(ci)
-                if unit is None:  # the class was quarantined
-                    true[i] = np.nan
-                else:
-                    true[i] = unit.per_entry[factor - 1] * entry_counts[i]
-            rng = np.random.default_rng(seeds[bi][factor - 1])
-            if config.batched_noise:
-                measured = config.noise.batch_medians(
-                    true, entry_counts, rng, n=config.n_runs
-                )
-            else:
-                measured = np.empty(n)
-                for i in range(n):
-                    measured[i] = config.noise.median_measurement(
-                        true[i], int(entry_counts[i]), rng, n=config.n_runs
-                    )
-            results[(bi, factor)] = UnitResult(
-                bench_index=bi,
-                factor=factor,
-                measured=measured,
-                true_cycles=true,
-                worker=0,
-                seconds=0.0,
-            )
-    return results
-
-
-def _record_class_timings(
-    rollup: MeasurementRollup,
-    index: DedupIndex,
-    class_results: dict[int, ClassUnitResult],
-) -> None:
-    """Class sweeps are the real work units of a dedup run, so they — not
-    the synthetic fan-out units — carry the timings (factor 0 marks a
-    whole-sweep unit; ``n_loops`` counts the members served)."""
-    for ci, cls in enumerate(index.classes):
-        unit = class_results.get(ci)
-        if unit is None:
-            continue
-        rollup.record(
-            UnitTiming(
-                benchmark=f"class:{cls.key[:12]}",
-                factor=0,
-                worker=unit.worker,
-                n_loops=len(cls.members),
-                seconds=unit.seconds,
-                analysis_hits=unit.analysis_hits,
-                analysis_misses=unit.analysis_misses,
-            )
-        )
-
-
-def _dedup_stats(index: DedupIndex, units) -> DedupStats:
-    """The index's static statistics plus the run's incremental counters."""
-    return dataclasses.replace(
-        index.stats,
-        incremental_hits=sum(u.incremental_hits for u in units),
-        incremental_misses=sum(u.incremental_misses for u in units),
-    )
-
-
 def measure_suite(
     suite: Suite,
     config: LabelingConfig = LabelingConfig(),
@@ -641,11 +372,8 @@ def measure_suite(
         journal: checkpoint journal — completed units are committed to it
             and, after :meth:`~repro.resilience.CheckpointJournal.load`,
             replayed instead of re-measured, so a killed run resumes
-            bit-identically to an uninterrupted one.  Dedup runs use
-            class-key labels, so a journal never mixes the two unit shapes.
+            bit-identically to an uninterrupted one.
     """
-    if config.dedup:
-        return _measure_suite_dedup(suite, config, jobs, rollup, resilience, journal)
     jobs = resolve_jobs(jobs)
     benchmarks = suite.benchmarks
     assembly = _TableAssembly(suite, config)
@@ -689,59 +417,6 @@ def measure_suite(
     return assembly.merge(report.results, rollup, config.swp)
 
 
-def _measure_suite_dedup(
-    suite: Suite,
-    config: LabelingConfig,
-    jobs: int | None,
-    rollup: MeasurementRollup | None,
-    resilience: ResilienceConfig | None,
-    journal: CheckpointJournal | None,
-) -> MeasurementTable:
-    """Dedup-enabled :func:`measure_suite`: one work unit per cost-key
-    class, fanned back out to every member before the deterministic merge.
-    Bit-identical to the dedup-off path for every ``jobs`` value."""
-    jobs = resolve_jobs(jobs)
-    index = build_dedup_index(suite, machine=config.machine)
-    assembly = _TableAssembly(suite, config)
-    seeds = _unit_seeds(config.seed, len(suite.benchmarks))
-    cost_model = (
-        CostModel(machine=config.machine, swp=config.swp, engine=_class_engine(config))
-        if jobs == 1
-        else None
-    )
-    tasks = [
-        UnitTask(
-            key=ci,
-            label=f"class:{cls.key}",
-            fn=measure_class,
-            args=(index.representative_loop(suite, ci), cls.key, config),
-            serial_call=(
-                None
-                if cost_model is None
-                else _bind_serial_class(
-                    index.representative_loop(suite, ci), cls.key, config, cost_model
-                )
-            ),
-        )
-        for ci, cls in enumerate(index.classes)
-    ]
-    report = run_units(
-        tasks,
-        jobs=jobs,
-        config=resilience or DEFAULT_RESILIENCE,
-        journal=journal,
-        encode=class_unit_to_json,
-        decode=class_unit_from_json,
-        initializer=reset_shared_cost_models,
-    )
-    results = _fan_out(suite, config, index, report.results, seeds)
-    if rollup is not None:
-        rollup.events.extend(report.events)
-        _record_class_timings(rollup, index, report.results)
-        rollup.dedup = _dedup_stats(index, report.results.values())
-    return assembly.merge(results, None, config.swp)
-
-
 def _bind_serial_pair(benchmark, bi, factor, config_off, config_on, seed, models):
     return lambda: measure_benchmark_factor_pair(
         benchmark, bi, factor, config_off, config_on, seed, models
@@ -770,10 +445,6 @@ def measure_suite_pair(
     operate on the paired unit, and each resilience event is reported once
     — on ``rollup_off`` when given, else on ``rollup_on``.
     """
-    if config.dedup:
-        return _measure_suite_pair_dedup(
-            suite, config, jobs, rollup_off, rollup_on, resilience, journal
-        )
     jobs = resolve_jobs(jobs)
     benchmarks = suite.benchmarks
     config_off = dataclasses.replace(config, swp=False)
@@ -831,87 +502,6 @@ def measure_suite_pair(
     return (
         assembly_off.merge(results_off, rollup_off, False),
         assembly_on.merge(results_on, rollup_on, True),
-    )
-
-
-def _measure_suite_pair_dedup(
-    suite: Suite,
-    config: LabelingConfig,
-    jobs: int | None,
-    rollup_off: MeasurementRollup | None,
-    rollup_on: MeasurementRollup | None,
-    resilience: ResilienceConfig | None,
-    journal: CheckpointJournal | None,
-) -> tuple[MeasurementTable, MeasurementTable]:
-    """Dedup-enabled :func:`measure_suite_pair`: one paired class sweep
-    per cost-key class, both regimes sharing one analysis cache, fanned
-    back out per regime.  Each rollup receives its own regime's class
-    timings and dedup statistics; resilience events are reported once."""
-    jobs = resolve_jobs(jobs)
-    config_off = dataclasses.replace(config, swp=False)
-    config_on = dataclasses.replace(config, swp=True)
-    index = build_dedup_index(suite, machine=config.machine)
-    assembly_off = _TableAssembly(suite, config_off)
-    assembly_on = _TableAssembly(suite, config_on)
-    seeds = _unit_seeds(config.seed, len(suite.benchmarks))
-    if jobs == 1:
-        shared = AnalysisCache()
-        engine = _class_engine(config)
-        cost_models = (
-            CostModel(machine=config.machine, swp=False, analysis=shared,
-                      engine=engine),
-            CostModel(machine=config.machine, swp=True, analysis=shared,
-                      engine=engine),
-        )
-    else:
-        cost_models = None
-    tasks = [
-        UnitTask(
-            key=ci,
-            label=f"class:{cls.key}",
-            fn=measure_class_pair,
-            args=(
-                index.representative_loop(suite, ci),
-                cls.key,
-                config_off,
-                config_on,
-            ),
-            serial_call=(
-                None
-                if cost_models is None
-                else _bind_serial_class_pair(
-                    index.representative_loop(suite, ci), cls.key,
-                    config_off, config_on, cost_models
-                )
-            ),
-        )
-        for ci, cls in enumerate(index.classes)
-    ]
-    report = run_units(
-        tasks,
-        jobs=jobs,
-        config=resilience or DEFAULT_RESILIENCE,
-        journal=journal,
-        encode=_class_pair_to_json,
-        decode=_class_pair_from_json,
-        initializer=reset_shared_cost_models,
-    )
-    class_off = {ci: pair[0] for ci, pair in report.results.items()}
-    class_on = {ci: pair[1] for ci, pair in report.results.items()}
-    results_off = _fan_out(suite, config_off, index, class_off, seeds)
-    results_on = _fan_out(suite, config_on, index, class_on, seeds)
-    event_rollup = rollup_off if rollup_off is not None else rollup_on
-    if event_rollup is not None:
-        event_rollup.events.extend(report.events)
-    if rollup_off is not None:
-        _record_class_timings(rollup_off, index, class_off)
-        rollup_off.dedup = _dedup_stats(index, class_off.values())
-    if rollup_on is not None:
-        _record_class_timings(rollup_on, index, class_on)
-        rollup_on.dedup = _dedup_stats(index, class_on.values())
-    return (
-        assembly_off.merge(results_off, None, False),
-        assembly_on.merge(results_on, None, True),
     )
 
 

@@ -38,6 +38,7 @@ from repro.serve.engine import (
     ERROR_INVALID_JSON,
     ERROR_MALFORMED_REQUEST,
     ERROR_OVERLOADED,
+    ERROR_REQUEST_TOO_LARGE,
     ERROR_UNPARSEABLE_LOOP,
     PredictionEngine,
     error_response,
@@ -71,6 +72,7 @@ __all__ = [
     "ERROR_INVALID_JSON",
     "ERROR_MALFORMED_REQUEST",
     "ERROR_OVERLOADED",
+    "ERROR_REQUEST_TOO_LARGE",
     "ERROR_UNPARSEABLE_LOOP",
     "NO_REUSEPORT_ENV",
     "BackgroundDaemon",

@@ -50,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -64,6 +65,7 @@ from repro.machine.model import MachineModel
 from repro.registry.artifact import ArtifactStore, load_or_quarantine
 from repro.serve.engine import (
     ERROR_INVALID_JSON,
+    ERROR_REQUEST_TOO_LARGE,
     PredictionEngine,
     _InvalidLine,
     error_response,
@@ -71,6 +73,13 @@ from repro.serve.engine import (
 from repro.serve.gateway import GatewayConfig, ServeGateway
 from repro.serve.loader import load_serving_artifact
 from repro.serve.requestlog import RequestLog, features_checksum
+
+#: Longest request line a connection accepts (the stream reader's limit).
+MAX_REQUEST_BYTES = 2**16
+
+#: How long a connection closed for an oversized line keeps discarding
+#: the client's unread input before it closes anyway.
+LINGER_S = 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,7 +102,8 @@ class DaemonConfig:
     one port (the kernel shards connections); ``bind_control`` opens a
     second, ephemeral listener speaking the same protocol — the
     supervisor's direct line to one worker for health probes and peer
-    updates regardless of where the kernel routes public connections;
+    updates regardless of where the kernel routes public connections
+    (``cluster_peers`` updates are accepted only there);
     ``worker_id`` tags healthz and request-log records; ``request_log``
     appends one JSON line per served response (see
     :mod:`repro.serve.requestlog`).
@@ -279,6 +289,11 @@ def _file_checksum(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+async def _discard_until_eof(reader: asyncio.StreamReader) -> None:
+    while await reader.read(MAX_REQUEST_BYTES):
+        pass
+
+
 class ServeDaemon:
     """One artifact, N engine replicas, one socket, shared micro-batching.
 
@@ -361,7 +376,8 @@ class ServeDaemon:
         group — sibling worker processes bind the same ``host:port`` and
         the kernel shards incoming connections across them.  With
         ``bind_control`` a second, always-ephemeral listener serves the
-        same protocol for direct per-worker probes.
+        same protocol for direct per-worker probes, plus the
+        ``cluster_peers`` control message.
         """
         self._queue = asyncio.Queue()
         self._batch_task = asyncio.ensure_future(self._batch_loop())
@@ -372,12 +388,16 @@ class ServeDaemon:
             self.config.host,
             self.config.port,
             reuse_port=self.config.reuse_port or None,
+            limit=MAX_REQUEST_BYTES,
         )
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
         if self.config.bind_control:
             self._control_server = await asyncio.start_server(
-                self._handle_connection, self.config.host, 0
+                functools.partial(self._handle_connection, control=True),
+                self.config.host,
+                0,
+                limit=MAX_REQUEST_BYTES,
             )
             control_name = self._control_server.sockets[0].getsockname()
             self.control_address = (control_name[0], control_name[1])
@@ -654,8 +674,14 @@ class ServeDaemon:
     # per-connection protocol
 
     async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        control: bool = False,
     ) -> None:
+        """Serve one connection.  ``control`` marks the control listener,
+        the only one that accepts ``cluster_peers`` updates; on the public
+        listener such a message is an ordinary (malformed) request."""
         peer = writer.get_extra_info("peername")
         client = f"{peer[0]}:{peer[1]}" if peer else "unknown"
         write_lock = asyncio.Lock()
@@ -678,9 +704,23 @@ class ServeDaemon:
             with contextlib.suppress(ConnectionError):
                 await write_response(response)
 
+        oversized = False
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # A line over the stream limit cannot be framed: answer
+                    # it, then close once every admitted request is answered.
+                    oversized = True
+                    await write_response(
+                        error_response(
+                            None,
+                            ERROR_REQUEST_TOO_LARGE,
+                            f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+                        )
+                    )
+                    break
                 if not line:
                     break
                 text = line.decode("utf-8", errors="replace").strip()
@@ -699,7 +739,7 @@ class ServeDaemon:
                             {**self.healthz(), "id": request.get("id")}
                         )
                     continue
-                if isinstance(request, dict) and "cluster_peers" in request:
+                if control and isinstance(request, dict) and "cluster_peers" in request:
                     # Supervisor control-plane: install sibling control
                     # addresses for aggregated healthz.  Answered inline,
                     # never queued — peer updates must land even while the
@@ -742,6 +782,14 @@ class ServeDaemon:
                     delivery.add_done_callback(registry.discard)
             if deliveries:
                 await asyncio.gather(*deliveries, return_exceptions=True)
+            if oversized:
+                # Lingering close: half-close so the client reads every
+                # answer, then discard its unread input for a bounded time
+                # (closing on unread bytes resets the connection, which can
+                # destroy answers still in the client's receive buffer).
+                writer.write_eof()
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(_discard_until_eof(reader), LINGER_S)
         except ConnectionError:
             pass
         except asyncio.CancelledError:

@@ -56,6 +56,9 @@ ERROR_INTERNAL = "internal-error"
 ERROR_OVERLOADED = "overloaded"
 #: The request's deadline elapsed before (or while) it was served.
 ERROR_DEADLINE_EXCEEDED = "deadline-exceeded"
+#: A request line longer than the daemon's stream limit (the daemon
+#: answers it, flushes the connection's admitted requests, and closes).
+ERROR_REQUEST_TOO_LARGE = "request-too-large"
 
 _CLASSIFIERS = ("nn", "svm", "mlp", "forest", "ensemble")
 

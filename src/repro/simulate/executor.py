@@ -27,15 +27,11 @@ Costing splits into two stages:
   and spill terms, or modulo scheduling when SWP is on and the part is
   eligible.  Cheap relative to analysis, and never cached.
 
-``engine="reference"`` bypasses both the cache and the table-driven
-schedulers, running the original single-stage path — the baseline that
-``repro-unroll bench`` compares against, and the oracle the equivalence
-tests pin the fast path to.
-
-``engine="incremental"`` layers cross-factor reuse *under* the analysis
-cache: the factor-``f`` analysis extends work already done for other
-factors of the same loop instead of recomputing it.  Four mechanisms, each
-individually proven bit-identical to the from-scratch path:
+``engine="incremental"`` (the default, and the only production engine)
+layers cross-factor reuse *under* the analysis cache: the factor-``f``
+analysis extends work already done for other factors of the same loop
+instead of recomputing it.  Four mechanisms, each individually proven
+bit-identical to the from-scratch path:
 
 * **clamp sharing** — for a compile-time-known trip count ``T``, every
   requested factor ``f > T`` clamps to the same effective factor, so the
@@ -57,6 +53,12 @@ individually proven bit-identical to the from-scratch path:
 
 All reuse sits *below* :meth:`CostModel.analyze`'s cache lookup, so cache
 verification (and the ``analysis.poison`` fault) behave identically.
+
+``engine="reference"`` bypasses the cache, the cross-factor reuse, and the
+table-driven schedulers, running the original single-stage path
+(:func:`optimize_for_factor` plus from-scratch analysis per query) — the
+oracle the equivalence tests and ``repro-unroll bench`` pin the
+incremental engine to.
 """
 
 from __future__ import annotations
@@ -132,8 +134,7 @@ class _SchedCell:
     schedule that survive into the cost; the trailing float arithmetic
     (spill cap, period, trip multiply) is recomputed per query in the
     original operation order, so a cell hit is bit-identical to a fresh
-    schedule.  Only the incremental engine creates cells; entries built by
-    the fast engine carry ``None`` and schedule every time.
+    schedule.
     """
 
     __slots__ = ("value",)
@@ -160,8 +161,8 @@ class LoopAnalysis:
     main_pre: SchedPrecomp | None
     rem_deps: DependenceGraph | None
     rem_pre: SchedPrecomp | None
-    main_cell: _SchedCell | None = None
-    rem_cell: _SchedCell | None = None
+    main_cell: _SchedCell | None
+    rem_cell: _SchedCell | None
 
 
 class AnalysisCache:
@@ -279,7 +280,7 @@ def shared_analysis_cache(machine: MachineModel) -> AnalysisCache:
 
 
 def shared_cost_model(
-    machine: MachineModel, swp: bool, engine: str = "fast"
+    machine: MachineModel, swp: bool, engine: str = "incremental"
 ) -> "CostModel":
     """Process-local memoised :class:`CostModel` — the worker-safe entry
     point for the parallel measurement pipeline.
@@ -289,11 +290,10 @@ def shared_cost_model(
     (effective load latency, bandwidth floor) amortise across the eight
     unroll factors of a benchmark just as they do in a serial run; the two
     SWP regimes of one engine additionally share one :class:`AnalysisCache`
-    via :func:`shared_analysis_cache` (the fast and incremental engines
-    produce interchangeable, bit-identical entries, so they may share it
-    too).  The caches are keyed by loop name, which is unique within a
-    generated suite; callers measuring hand-built suites with colliding
-    loop names should construct their own :class:`CostModel`.
+    via :func:`shared_analysis_cache`.  The caches are keyed by loop name,
+    which is unique within a generated suite; callers measuring hand-built
+    suites with colliding loop names should construct their own
+    :class:`CostModel`.
     """
     key = (machine.name, swp, engine)
     model = _SHARED_MODELS.get(key)
@@ -326,11 +326,10 @@ class CostModel:
         analysis: the analysis cache to use; pass a shared instance to let
             several models (typically the two SWP regimes) reuse each
             other's analyses.  ``None`` creates a private cache.
-        engine: ``"fast"`` (two-stage, cached, table-driven schedulers),
-            ``"incremental"`` (the fast path plus cross-factor reuse; see
-            the module docstring), or ``"reference"`` (the original
-            single-stage path; bit-identical results, used as the bench
-            baseline).
+        engine: ``"incremental"`` (two-stage, cached, table-driven
+            schedulers with cross-factor reuse; see the module docstring)
+            or ``"reference"`` (the original single-stage path;
+            bit-identical results, used as the equivalence oracle).
     """
 
     def __init__(
@@ -339,12 +338,11 @@ class CostModel:
         swp: bool = False,
         plan: OptimizationPlan | None = None,
         analysis: AnalysisCache | None = None,
-        engine: str = "fast",
+        engine: str = "incremental",
     ):
-        if engine not in ("fast", "incremental", "reference"):
+        if engine not in ("incremental", "reference"):
             raise ValueError(
-                "engine must be 'fast', 'incremental', or 'reference', "
-                f"got {engine!r}"
+                f"engine must be 'incremental' or 'reference', got {engine!r}"
             )
         self.machine = machine
         self.swp = swp
@@ -354,12 +352,10 @@ class CostModel:
         self._latency_cache: dict[str, int] = {}
         self._floor_cache: dict[str, float] = {}
         self._machine_variants: dict[int, MachineModel] = {}
-        # Incremental-engine state (inert for the other engines).
+        # Incremental-engine state (inert for the reference engine).
         self._stores: "OrderedDict[str, _LoopStore]" = OrderedDict()
         self._store_cap = 1024
         self._overlap_memo: dict = {}
-        self.incremental_hits = 0
-        self.incremental_misses = 0
 
     # ------------------------------------------------------------------
 
@@ -390,36 +386,11 @@ class CostModel:
             self.analysis.put(key, entry)
         return entry
 
-    def _build_analysis(self, loop: Loop, factor: int) -> LoopAnalysis:
-        if self.engine == "incremental":
-            return self._build_analysis_incremental(loop, factor)
-        machine = self._machine_for(loop)
-        bw_floor = self._bandwidth_floor(loop)
-        result = optimize_for_factor(loop, factor, self.plan)
-        main_deps = main_pre = rem_deps = rem_pre = None
-        if result.main is not None:
-            main_deps = analyze_dependences(result.main)
-            main_pre = SchedPrecomp.build(main_deps, machine)
-        if result.remainder is not None:
-            rem_deps = analyze_dependences(result.remainder)
-            rem_pre = SchedPrecomp.build(rem_deps, machine)
-        return LoopAnalysis(
-            loop=loop,
-            base_machine=self.machine,
-            machine=machine,
-            bw_floor=bw_floor,
-            result=result,
-            main_deps=main_deps,
-            main_pre=main_pre,
-            rem_deps=rem_deps,
-            rem_pre=rem_pre,
-        )
-
     # ------------------------------------------------------------------
     # Incremental engine: cross-factor analysis reuse.
     # ------------------------------------------------------------------
 
-    def _build_analysis_incremental(self, loop: Loop, factor: int) -> LoopAnalysis:
+    def _build_analysis(self, loop: Loop, factor: int) -> LoopAnalysis:
         if not (1 <= factor <= MAX_UNROLL):
             raise ValueError(
                 f"unroll factor must be in [1, {MAX_UNROLL}], got {factor}"
@@ -433,7 +404,6 @@ class CostModel:
                 # differing only in ``requested_factor`` — so the clamped
                 # factor's analysis (cached under its own key) is reused
                 # wholesale, cells included.
-                self.incremental_hits += 1
                 base_entry = self.analyze(loop, effective)
                 result = dataclasses.replace(
                     base_entry.result, requested_factor=factor
@@ -457,7 +427,6 @@ class CostModel:
                 # tables, and the scheduling scalars are invariant under
                 # the per-factor base-offset shift, so the first factor's
                 # remainder analysis serves every factor of this loop.
-                self.incremental_misses += 1
                 rem_deps = analyze_dependences(
                     result.remainder, overlap_memo=self._overlap_memo
                 )
@@ -465,7 +434,6 @@ class CostModel:
                 store.rem_shared = (rem_deps, rem_pre)
                 store.rem_cell = _SchedCell()
             else:
-                self.incremental_hits += 1
                 rem_deps, rem_pre = store.rem_shared
             rem_cell = store.rem_cell
         return LoopAnalysis(
@@ -633,9 +601,7 @@ class CostModel:
         key = (k, is_last)
         rows = store.rows.get(key)
         if rows is not None:
-            self.incremental_hits += 1
             return rows
-        self.incremental_misses += 1
         carried = store.carried
         current: dict[Reg, Reg] = {}
         if k > 0:
@@ -773,7 +739,7 @@ class CostModel:
         machine: MachineModel,
         bw_floor: float,
         allow_swp: bool,
-        cell: _SchedCell | None = None,
+        cell: _SchedCell,
     ) -> tuple[float, float, int | None, int | None, float, bool]:
         """Cycles per entry for one loop part (main or remainder).
 
@@ -781,7 +747,7 @@ class CostModel:
         original iteration; one body execution covers ``unroll_factor``
         iterations, so the body period is floored at ``bw_floor * factor``.
 
-        ``cell``, when given, memoises the list path's scheduling scalars
+        ``cell`` memoises the list path's scheduling scalars
         across queries of the same analysis entry (the second SWP regime,
         factors sharing a remainder); the arithmetic past the scalars runs
         unconditionally, in the original order, so hits are bit-identical.
@@ -816,16 +782,13 @@ class CostModel:
                     True,
                 )
 
-        if cell is not None and cell.value is not None:
-            self.incremental_hits += 1
+        if cell.value is not None:
             steady, pressure = cell.value
         else:
             schedule = list_schedule(deps, machine, pre=pre)
             pressure = max_live(deps, schedule)
             steady = steady_state_cycles(deps, schedule, machine, pre=pre)
-            if cell is not None:
-                self.incremental_misses += 1
-                cell.value = (steady, pressure)
+            cell.value = (steady, pressure)
         base_period = max(steady, body_floor)
         # Spill cost is bounded relative to the loop itself: the allocator
         # spills cheapest-first, so over-unrolling degrades, never explodes.
@@ -876,7 +839,7 @@ class CostModel:
 
     # ------------------------------------------------------------------
     # Reference engine: the original single-stage path, retained as the
-    # bench baseline and equivalence oracle.
+    # equivalence oracle.
     # ------------------------------------------------------------------
 
     def _loop_cost_reference(self, loop: Loop, factor: int) -> LoopCost:

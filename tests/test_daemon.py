@@ -20,6 +20,7 @@ from repro.serve import (
     ERROR_INVALID_JSON,
     ERROR_MALFORMED_REQUEST,
     ERROR_OVERLOADED,
+    ERROR_REQUEST_TOO_LARGE,
     BackgroundDaemon,
     DaemonConfig,
     ServeDaemon,
@@ -325,6 +326,47 @@ class TestHealthz:
             response = client.ask({"healthz": True})
             client.close()
         assert response["ok"] is True
+
+
+class TestConnectionHardening:
+    def test_oversized_line_flushes_admitted_answers_then_closes(
+        self, store, dataset, caplog
+    ):
+        with caplog.at_level("ERROR", logger="asyncio"):
+            with _run(store) as daemon:
+                client = _Client(daemon.address)
+                for i in range(3):
+                    client.send({"id": i, "features": _features(dataset, i)})
+                client.send_raw("x" * (70 * 1024))
+                responses = [client.recv() for _ in range(4)]
+                assert client.stream.readline() == ""  # then the daemon closes
+                client.close()
+        answers = sorted(
+            (r for r in responses if r["id"] is not None), key=lambda r: r["id"]
+        )
+        assert [r["id"] for r in answers] == [0, 1, 2]
+        assert all(r["ok"] for r in answers)
+        (error,) = [r for r in responses if r["id"] is None]
+        assert error["ok"] is False
+        assert error["error"]["type"] == ERROR_REQUEST_TOO_LARGE
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_cluster_peers_only_on_the_control_listener(self, store):
+        peers = {"cluster_peers": [[1, "127.0.0.1", 9]]}
+        with _run(store, bind_control=True) as daemon:
+            public = _Client(daemon.address)
+            refused = public.ask({"id": "p", **peers})
+            after_public = public.ask({"healthz": True})["healthz"]
+            control = _Client(daemon.control_address)
+            accepted = control.ask({"id": "c", **peers})
+            after_control = public.ask({"healthz": True})["healthz"]
+            public.close()
+            control.close()
+        assert refused["ok"] is False
+        assert refused["error"]["type"] == ERROR_MALFORMED_REQUEST
+        assert after_public["cluster_peers"] == 0
+        assert accepted == {"ok": True, "id": "c", "peers": 1}
+        assert after_control["cluster_peers"] == 1
 
 
 class TestHotReload:

@@ -1,69 +1,68 @@
-"""Unit tests for the instrumentation library and raw-data export."""
+"""Unit tests for the measurement protocol and raw-data export."""
 
 import numpy as np
 import pytest
 
 from repro.instrument import (
     LoopRecord,
-    LoopTimerBank,
-    measure_benchmark,
-    measure_loop,
     read_records,
     write_records,
 )
+from repro.ir.program import Benchmark
+from repro.pipeline import LabelingConfig, measure_benchmark_factor
 from repro.simulate import CostModel, NOISELESS, NoiseModel
 from repro.workloads.kernels import daxpy
 
 
-class TestTimerBank:
-    def test_accumulates_per_loop(self):
-        bank = LoopTimerBank()
-        bank.record("a", 100.0)
-        bank.record("a", 50.0)
-        bank.record("b", 7.0)
-        assert bank.report() == {"a": 150.0, "b": 7.0}
+def _one_loop_benchmark(loop) -> Benchmark:
+    return Benchmark(
+        name="t.daxpy", suite="test", language=loop.language, loops=(loop,)
+    )
 
-    def test_report_is_a_copy(self):
-        bank = LoopTimerBank()
-        bank.record("a", 1.0)
-        report = bank.report()
-        report["a"] = 999.0
-        assert bank.report()["a"] == 1.0
+
+def _measure(benchmark, factor, seed, config=None, **overrides):
+    """One (benchmark, factor) work unit on a private cost model (the
+    process-shared models key their caches by loop name, and these tests
+    reuse names across different loops)."""
+    config = config or LabelingConfig(**overrides)
+    return measure_benchmark_factor(
+        benchmark, 0, factor, config, np.random.SeedSequence(seed),
+        CostModel(machine=config.machine, swp=config.swp),
+    )
 
 
 class TestMeasurement:
     def test_noiseless_measurement_equals_cost_model(self):
         loop = daxpy(trip=256, entries=8)
-        model = CostModel()
-        rng = np.random.default_rng(0)
-        measurement = measure_loop(loop, 2, model, rng, noise=NOISELESS, n_runs=5)
-        assert measurement.median_cycles == model.loop_cost(loop, 2).total_cycles
-        assert measurement.n_runs == 5
+        unit = _measure(_one_loop_benchmark(loop), 2, 0, noise=NOISELESS, n_runs=5)
+        truth = CostModel().loop_cost(loop, 2).total_cycles
+        assert unit.true_cycles[0] == truth
+        assert unit.measured[0] == truth
 
-    def test_median_of_thirty_default(self):
-        loop = daxpy(trip=256, entries=8)
-        rng = np.random.default_rng(1)
-        measurement = measure_loop(loop, 1, CostModel(), rng)
-        assert measurement.n_runs == 30
+    def test_median_of_thirty_default(self, monkeypatch):
+        runs = []
+        original = NoiseModel.batch_medians
+
+        def spy(self, true_cycles, entry_counts, rng, n=30):
+            runs.append(n)
+            return original(self, true_cycles, entry_counts, rng, n)
+
+        monkeypatch.setattr(NoiseModel, "batch_medians", spy)
+        _measure(_one_loop_benchmark(daxpy(trip=256, entries=8)), 1, 1)
+        assert runs == [30]
 
     def test_benchmark_measurement_covers_all_loops(self, mini_suite, mini_config):
         bench = mini_suite.benchmarks[0]
-        rng = np.random.default_rng(2)
-        results = measure_benchmark(
-            bench, 4, CostModel(), rng, noise=mini_config.noise, n_runs=3
-        )
-        assert set(results) == {loop.name for loop in bench.loops}
+        unit = _measure(bench, 4, 2, mini_config)
+        assert unit.measured.shape == unit.true_cycles.shape == (bench.n_loops,)
+        assert np.isfinite(unit.measured).all()
 
     def test_noise_does_not_bias_the_median_much(self):
         loop = daxpy(trip=512, entries=16)
-        model = CostModel()
-        truth = model.loop_cost(loop, 1).total_cycles
+        benchmark = _one_loop_benchmark(loop)
+        truth = CostModel().loop_cost(loop, 1).total_cycles
         noise = NoiseModel(sigma=0.02, outlier_rate=0.02, counter_overhead=0)
-        rng = np.random.default_rng(3)
-        medians = [
-            measure_loop(loop, 1, model, rng, noise=noise).median_cycles
-            for _ in range(10)
-        ]
+        medians = [_measure(benchmark, 1, seed, noise=noise).measured[0] for seed in range(10)]
         assert abs(np.mean(medians) / truth - 1.0) < 0.02
 
 

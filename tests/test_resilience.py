@@ -9,7 +9,6 @@ out is bit-identical to an untroubled run (or has NaN holes exactly where
 units were quarantined).
 """
 
-import dataclasses
 import os
 import tempfile
 import time
@@ -24,7 +23,6 @@ from repro.ir.program import Suite
 from repro.pipeline import (
     CacheStore,
     LabelingConfig,
-    build_dedup_index,
     config_key,
     cached_measurements,
     measure_suite,
@@ -540,42 +538,6 @@ class TestResume:
             assert _tables_identical(table, baseline)
             assert rollup.count("resume") == kill_after + 1
             assert "resumed from journal" in rollup.resilience_summary()
-
-    @given(kill_after=st.integers(min_value=0, max_value=13))
-    @settings(max_examples=6, deadline=None)
-    def test_dedup_resume_is_bit_identical(
-        self, micro_suite, micro_config, baseline, kill_after
-    ):
-        """The resume property holds for dedup runs too, whose journal
-        entries are keyed by the equivalence-class content key — so a
-        resumed run can trust a checkpoint only for the exact loop content
-        it was measured from."""
-        config = dataclasses.replace(micro_config, dedup=True)
-        n_units = build_dedup_index(micro_suite).stats.n_cost_classes
-        kill_after %= n_units
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "journal.jsonl"
-            plan = FaultPlan(
-                rules=(FaultRule(op="run.abort", match="*", skip=kill_after),)
-            )
-            with fault_plan(plan):
-                journal = CheckpointJournal(path, run_key="dedup-prop")
-                with pytest.raises(AbortRun):
-                    measure_suite(micro_suite, config, journal=journal)
-                journal.close()
-
-            resumed = CheckpointJournal(path, run_key="dedup-prop")
-            assert resumed.load() == kill_after + 1
-            # Every checkpoint is keyed by its class's content key.
-            class_keys = {cls.key for cls in build_dedup_index(micro_suite).classes}
-            labels = set(resumed.completed)
-            assert all(label.startswith("class:") for label in labels)
-            assert {label.removeprefix("class:") for label in labels} <= class_keys
-            rollup = MeasurementRollup()
-            table = measure_suite(micro_suite, config, rollup=rollup, journal=resumed)
-            resumed.close()
-            assert _tables_identical(table, baseline)
-            assert rollup.count("resume") == kill_after + 1
 
     def test_parallel_resume_matches(self, micro_suite, micro_config, baseline, tmp_path):
         path = tmp_path / "journal.jsonl"
