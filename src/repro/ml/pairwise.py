@@ -12,14 +12,95 @@ perturbs the machines whose training set contains ``i`` (the ``k-1`` pairs
 involving ``i``'s class); for those, the closed-form LS-SVM LOO identity
 applies within the pair's own solve, and every other machine's decision
 value for ``i`` is unchanged.
+
+Inference is one array program over the whole model (:class:`_InferencePlan`):
+every machine's dual coefficients live in one ``(n_train x n_pairs)``
+matrix, zero outside the pair's rows, so a query costs one kernel pass
+against the shared training matrix and one product, ``D = K @ W + b``.
+Votes come from class-incidence tables (exact integer counts) and margins
+accumulate in the same per-class pair order as a sequential loop would, so
+labels match a per-machine vote; decision values agree with the per-machine
+``LSSVM.decision_values`` to rounding (BLAS accumulates the kernel's cross
+term and the product over all training rows, not just the pair's).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.features.normalize import Normalizer, fit_normalizer
-from repro.ml.svm import LSSVM
+from repro.ml.svm import LSSVM, kernel_matrix
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array = np.array(array)  # a private copy: callers' arrays stay writeable
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class _InferencePlan:
+    """The fitted pair machines as whole-model arrays (read-only; built
+    once at fit or restore and shared by every thread that predicts).
+
+    ``margin_pairs[c]`` lists, in machine order, the columns of ``D`` that
+    class ``c`` takes part in (``n_pairs`` pads to a zero column), and
+    ``margin_signs[c]`` is ``+1`` where ``c`` is the pair's first class.
+    """
+
+    Z: np.ndarray  # (n_train, d) prepared training matrix
+    W: np.ndarray  # (n_train, n_pairs) dual coefficients, zero off-pair
+    bias: np.ndarray  # (n_pairs,)
+    vote_delta: np.ndarray  # (n_pairs, k) one-hot(first class) - one-hot(second)
+    vote_base: np.ndarray  # (k,) votes if every machine voted for its second class
+    margin_pairs: np.ndarray  # (k, m) int column indices into [D | 0]
+    margin_signs: np.ndarray  # (k, m) +1 / -1
+    proba_columns: np.ndarray  # (k, k') 0/1 map from ``classes`` to ``classes_``
+
+    @classmethod
+    def build(cls, classes, present, Z, machines, rows) -> "_InferencePlan":
+        pairs = list(machines)
+        n_pairs, k = len(pairs), len(classes)
+        position = {int(c): i for i, c in enumerate(classes)}
+        W = np.zeros((len(Z), n_pairs))
+        bias = np.zeros(n_pairs)
+        vote_delta = np.zeros((n_pairs, k))
+        vote_base = np.zeros(k)
+        members = [[] for _ in range(k)]
+        for p, (a, b) in enumerate(pairs):
+            solution = machines[(a, b)]._solution
+            W[rows[(a, b)], p] = np.ravel(solution.alpha)
+            bias[p] = np.ravel(solution.bias)[0]
+            vote_delta[p, position[a]] = 1.0
+            vote_delta[p, position[b]] = -1.0
+            vote_base[position[b]] += 1.0
+            members[position[a]].append((p, 1.0))
+            members[position[b]].append((p, -1.0))
+        width = max(1, max(len(m) for m in members))
+        margin_pairs = np.full((k, width), n_pairs, dtype=np.int64)
+        margin_signs = np.ones((k, width))
+        for c, entries in enumerate(members):
+            for j, (p, sign) in enumerate(entries):
+                margin_pairs[c, j] = p
+                margin_signs[c, j] = sign
+        proba_columns = np.asarray([[float(c == q) for q in present] for c in classes])
+        return cls(*map(_frozen, (
+            Z, W, bias, vote_delta, vote_base, margin_pairs, margin_signs, proba_columns
+        )))
+
+    def votes_and_margins(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-class vote counts and accumulated pair margins for decision
+        values ``D`` (one column per machine, in machine order)."""
+        # Integer counts in float64: exact.
+        votes = (D >= 0.0).astype(np.float64) @ self.vote_delta + self.vote_base
+        padded = np.concatenate([D, np.zeros((len(D), 1))], axis=1)
+        terms = padded[:, self.margin_pairs] * self.margin_signs
+        # An in-order running sum: bit-identical to ``+=`` / ``-=`` per
+        # machine in machine order.
+        margins = np.cumsum(terms, axis=2)[:, :, -1]
+        return votes, margins
 
 
 class PairwiseLSSVM:
@@ -49,7 +130,9 @@ class PairwiseLSSVM:
         self._machines: dict[tuple[int, int], LSSVM] = {}
         self._rows: dict[tuple[int, int], np.ndarray] = {}
         self._normalizer = None
+        self._Z: np.ndarray | None = None
         self._y: np.ndarray | None = None
+        self._plan: _InferencePlan | None = None
 
     def _prepare(self, X: np.ndarray) -> np.ndarray:
         """Normalise, then stretch axes by the (optional) feature weights —
@@ -66,7 +149,7 @@ class PairwiseLSSVM:
         y = np.asarray(y, dtype=np.int64)
         self._normalizer = fit_normalizer(X, self.normalization)
         Z = self._prepare(X)
-        self._Z_cache = Z
+        self._Z = Z
         self._y = y
         self._machines.clear()
         self._rows.clear()
@@ -86,7 +169,13 @@ class PairwiseLSSVM:
                 machine.fit(Z[rows], targets)
                 self._machines[(a, b)] = machine
                 self._rows[(a, b)] = rows
+        self._build_plan()
         return self
+
+    def _build_plan(self) -> None:
+        self._plan = _InferencePlan.build(
+            self.classes, np.unique(self._y), self._Z, self._machines, self._rows
+        )
 
     def _require_fitted(self) -> None:
         if self._normalizer is None:
@@ -130,7 +219,7 @@ class PairwiseLSSVM:
             "kernel": self.kernel,
             "scale_ratio": float(self.scale_ratio),
             "mix": float(self.mix),
-            "Z": self._Z_cache,
+            "Z": self._Z,
             "y": self._y,
             "normalizer": self._normalizer.get_state(),
             "pairs": pairs,
@@ -152,7 +241,7 @@ class PairwiseLSSVM:
         clf._normalizer = Normalizer.from_state(state["normalizer"])
         Z = np.asarray(state["Z"], dtype=np.float64)
         y = np.asarray(state["y"], dtype=np.int64)
-        clf._Z_cache = Z
+        clf._Z = Z
         clf._y = y
         for pair in state["pairs"]:
             a, b = int(pair["a"]), int(pair["b"])
@@ -171,34 +260,31 @@ class PairwiseLSSVM:
                 }
             )
             clf._rows[(a, b)] = rows
+        clf._build_plan()
         return clf
 
     # ------------------------------------------------------------------
 
-    def _vote(self, decision_columns: dict[tuple[int, int], np.ndarray], n: int) -> np.ndarray:
-        """Aggregate pair decisions into labels (votes, margin tie-break)."""
-        class_pos = {int(c): k for k, c in enumerate(self.classes)}
-        votes = np.zeros((n, len(self.classes)))
-        margins = np.zeros((n, len(self.classes)))
-        for (a, b), values in decision_columns.items():
-            winner_a = values >= 0.0
-            votes[winner_a, class_pos[a]] += 1.0
-            votes[~winner_a, class_pos[b]] += 1.0
-            margins[:, class_pos[a]] += values
-            margins[:, class_pos[b]] -= values
+    def decision_values(self, X: np.ndarray) -> np.ndarray:
+        """Every machine's decision value for query rows, one column per
+        pair in machine order: one kernel pass, one product."""
+        self._require_fitted()
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        plan = self._plan
+        K = kernel_matrix(
+            self._prepare(X), plan.Z, self.kernel, self.sigma, self.scale_ratio, self.mix
+        )
+        return K @ plan.W + plan.bias
+
+    def _labels(self, D: np.ndarray) -> np.ndarray:
+        """Labels from pair decisions (votes, margin tie-break)."""
+        votes, margins = self._plan.votes_and_margins(D)
         # Lexicographic: votes first, accumulated margin as tie-break.
         score = votes + 1e-6 * np.tanh(margins)
         return self.classes[np.argmax(score, axis=1)]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted()
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        Z = self._prepare(X)
-        decisions = {
-            pair: np.asarray(machine.decision_values(Z), dtype=np.float64).ravel()
-            for pair, machine in self._machines.items()
-        }
-        return self._vote(decisions, len(Z))
+        return self._labels(self.decision_values(X))
 
     @property
     def classes_(self) -> np.ndarray:
@@ -214,43 +300,27 @@ class PairwiseLSSVM:
         shares here; consumers needing exact ``predict`` agreement use the
         label from ``predict`` and this distribution for confidence only.
         """
-        self._require_fitted()
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        Z = self._prepare(X)
-        present = self.classes_
-        column = {int(c): k for k, c in enumerate(present)}
-        votes = np.zeros((len(Z), len(present)))
-        for (a, b), machine in self._machines.items():
-            values = np.asarray(machine.decision_values(Z), dtype=np.float64).ravel()
-            winner_a = values >= 0.0
-            votes[winner_a, column[a]] += 1.0
-            votes[~winner_a, column[b]] += 1.0
-        totals = votes.sum(axis=1, keepdims=True)
+        D = self.decision_values(X)
+        plan = self._plan
         if not self._machines:  # degenerate single-class fit
-            return np.ones((len(Z), len(present))) / len(present)
-        return votes / totals
+            width = plan.proba_columns.shape[1]
+            return np.full((len(D), width), 1.0 / width)
+        votes, _ = plan.votes_and_margins(D)
+        votes = votes @ plan.proba_columns
+        return votes / votes.sum(axis=1, keepdims=True)
 
     def loocv_predictions(self) -> np.ndarray:
         """Exact LOO labels over the training set."""
         self._require_fitted()
-        n = len(self._y)
-        decisions: dict[tuple[int, int], np.ndarray] = {}
-        for pair, machine in self._machines.items():
-            rows = self._rows[pair]
+        D = np.zeros((len(self._y), len(self._machines)))
+        for p, (pair, machine) in enumerate(self._machines.items()):
             # Decision values for everyone from the machine as trained...
-            full = np.asarray(machine.decision_values(self._all_Z()), dtype=np.float64).ravel()
+            D[:, p] = np.asarray(machine.decision_values(self._Z), dtype=np.float64).ravel()
             # ...then patch the training rows with their exact LOO values.
-            loo = np.asarray(machine.loo_decision_values(), dtype=np.float64).ravel()
-            full[rows] = loo
-            decisions[pair] = full
-        return self._vote(decisions, n)
-
-    def _all_Z(self) -> np.ndarray:
-        # The normalised training matrix, reconstructed from pair rows is
-        # not possible in general; keep a cached copy instead.
-        if not hasattr(self, "_Z_cache"):
-            raise RuntimeError("internal: training matrix missing")
-        return self._Z_cache
+            D[self._rows[pair], p] = np.asarray(
+                machine.loo_decision_values(), dtype=np.float64
+            ).ravel()
+        return self._labels(D)
 
 
 def make_tuned_pairwise_svm() -> "PairwiseLSSVM":

@@ -28,13 +28,21 @@ import numpy as np
 import scipy.linalg
 
 
-def rbf_kernel(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
-    """The RBF (Gaussian) kernel matrix between row sets ``A`` and ``B``."""
+def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     sq_a = (A**2).sum(axis=1)[:, None]
     sq_b = (B**2).sum(axis=1)[None, :]
     d2 = sq_a + sq_b - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _gaussian(d2: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-d2 / (2.0 * sigma * sigma))
+
+
+def rbf_kernel(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
+    """The RBF (Gaussian) kernel matrix between row sets ``A`` and ``B``."""
+    return _gaussian(_squared_distances(A, B), sigma)
 
 
 def multiscale_rbf_kernel(
@@ -54,9 +62,22 @@ def multiscale_rbf_kernel(
     captures both, and is what lifts the LS-SVM past the near-neighbor
     classifier on this problem.  (Sums of valid kernels are valid kernels.)
     """
-    return mix * rbf_kernel(A, B, sigma) + (1.0 - mix) * rbf_kernel(
-        A, B, sigma * scale_ratio
-    )
+    d2 = _squared_distances(A, B)
+    return mix * _gaussian(d2, sigma) + (1.0 - mix) * _gaussian(d2, sigma * scale_ratio)
+
+
+def kernel_matrix(
+    A: np.ndarray,
+    B: np.ndarray,
+    kernel: str,
+    sigma: float,
+    scale_ratio: float = 30.0,
+    mix: float = 0.5,
+) -> np.ndarray:
+    """The named kernel (``"rbf"`` or ``"multiscale"``) between row sets."""
+    if kernel == "multiscale":
+        return multiscale_rbf_kernel(A, B, sigma, scale_ratio, mix)
+    return rbf_kernel(A, B, sigma)
 
 
 #: Tuned hyperparameters used by the paper-reproduction experiments (found
@@ -114,9 +135,7 @@ class LSSVM:
         self._solution: LSSVMSolution | None = None
 
     def _kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        if self.kernel == "multiscale":
-            return multiscale_rbf_kernel(A, B, self.sigma, self.scale_ratio, self.mix)
-        return rbf_kernel(A, B, self.sigma)
+        return kernel_matrix(A, B, self.kernel, self.sigma, self.scale_ratio, self.mix)
 
     # ------------------------------------------------------------------
 

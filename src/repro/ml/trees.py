@@ -19,7 +19,9 @@ the calibrated ensemble (:mod:`repro.ml.ensemble`) uses: seeded bootstrap
 resampling, per-split feature subsampling, and order-invariant averaging of
 per-tree leaf class distributions.  Both the tree and the forest serialise
 their fitted structure (:meth:`DecisionTree.get_state`) so the registry can
-restore them bit-identically without refitting.
+restore them bit-identically without refitting.  The forest predicts from
+one flat node table over all its trees (:class:`_FlatForest`), walking
+every tree for every row in ``max_depth`` vectorized steps.
 """
 
 from __future__ import annotations
@@ -255,6 +257,54 @@ class DecisionTree:
         return tree
 
 
+@dataclass(frozen=True)
+class _FlatForest:
+    """Every tree's preorder node arrays (the :meth:`DecisionTree.get_state`
+    layout) concatenated into one read-only table.  Leaves loop back to
+    themselves, so a fixed number of steps parks every walk on its leaf;
+    leaf distributions are pre-mapped onto the forest's classes."""
+
+    roots: np.ndarray  # (n_trees,) index of each tree's root
+    feature: np.ndarray  # (n_nodes,) split feature (0 at leaves)
+    threshold: np.ndarray  # (n_nodes,)
+    left: np.ndarray  # (n_nodes,) global child index (self at leaves)
+    right: np.ndarray  # (n_nodes,)
+    distribution: np.ndarray  # (n_nodes, k) over the forest's classes
+
+    @classmethod
+    def build(cls, classes: np.ndarray, states: list[dict]) -> "_FlatForest":
+        roots, feature, threshold, left, right, distribution = [], [], [], [], [], []
+        base = 0
+        for state in states:
+            n = len(state["feature"])
+            index = base + np.arange(n)
+            leaf = np.asarray(state["left"]) < 0
+            roots.append(base)
+            feature.append(np.where(leaf, 0, state["feature"]))
+            threshold.append(np.asarray(state["threshold"], dtype=np.float64))
+            left.append(np.where(leaf, index, base + np.asarray(state["left"])))
+            right.append(np.where(leaf, index, base + np.asarray(state["right"])))
+            mapped = np.zeros((n, len(classes)))
+            mapped[:, np.searchsorted(classes, state["classes"])] = state["distribution"]
+            distribution.append(mapped)
+            base += n
+        arrays = [np.asarray(roots, dtype=np.int64)] + [
+            np.concatenate(part) for part in (feature, threshold, left, right, distribution)
+        ]
+        for array in arrays:
+            array.flags.writeable = False
+        return cls(*arrays)
+
+    def leaf_distributions(self, X: np.ndarray, steps: int) -> np.ndarray:
+        """``(n_trees, n_rows, k)``: each tree's leaf distribution per row."""
+        rows = np.arange(len(X))
+        nodes = np.repeat(self.roots[:, None], len(X), axis=1)
+        for _ in range(steps):
+            goes_left = X[rows, self.feature[nodes]] <= self.threshold[nodes]
+            nodes = np.where(goes_left, self.left[nodes], self.right[nodes])
+        return self.distribution[nodes]
+
+
 class RandomForest:
     """Bagged CART trees with per-split feature subsampling.
 
@@ -284,6 +334,7 @@ class RandomForest:
         self.seed = int(seed)
         self._trees: list[DecisionTree] = []
         self._classes: np.ndarray | None = None
+        self._flat: _FlatForest | None = None
 
     # ------------------------------------------------------------------
 
@@ -331,6 +382,7 @@ class RandomForest:
             )
             tree.fit(X[rows], y[rows])
             self._trees.append(tree)
+        self._flat = _FlatForest.build(self._classes, [t.get_state() for t in self._trees])
         return self
 
     # ------------------------------------------------------------------
@@ -339,10 +391,7 @@ class RandomForest:
         """Average per-tree leaf distributions over the global classes."""
         self._require_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        stacked = np.zeros((len(self._trees), len(X), len(self._classes)))
-        for t, tree in enumerate(self._trees):
-            cols = np.searchsorted(self._classes, tree._classes)
-            stacked[t][:, cols] = tree.predict_proba(X)
+        stacked = self._flat.leaf_distributions(X, self.max_depth)
         # Sorting each (row, class) cell's per-tree contributions before
         # summing makes the total a function of the multiset of votes,
         # not the tree order: permutation invariance is exact.
@@ -384,6 +433,7 @@ class RandomForest:
         )
         forest._classes = np.asarray(state["classes"], dtype=np.int64)
         forest._trees = [DecisionTree.from_state(s) for s in state["trees"]]
+        forest._flat = _FlatForest.build(forest._classes, state["trees"])
         return forest
 
 

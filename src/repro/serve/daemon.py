@@ -218,12 +218,14 @@ def merge_worker_health(workers: list[dict]) -> dict:
     for a worker that could not be probed.  The merged gateway counters
     are plain sums; ``balanced`` holds exactly when every live worker's
     own counters balance — which, summed, is the cluster-wide
-    admitted == ok + error + deadline identity.
+    admitted == ok + error + deadline identity.  Delivery counters
+    (answers written vs. writes that failed) are plain sums too.
     """
     counter_keys = (
         "admitted", "served_ok", "served_error", "overloaded", "deadline_exceeded"
     )
     merged_counters = dict.fromkeys(counter_keys, 0)
+    delivery = {"responses_written": 0, "write_failed": 0}
     batching = {"batches": 0, "batched_requests": 0, "max_batch": 0}
     request_log_records = 0
     request_log_bytes = 0
@@ -245,6 +247,8 @@ def merge_worker_health(workers: list[dict]) -> dict:
             + gateway.get("deadline_exceeded", 0)
         )
         balanced = balanced and worker_balanced
+        for key in delivery:
+            delivery[key] += health.get("delivery", {}).get(key, 0)
         stats = health.get("batching", {})
         batching["batches"] += stats.get("batches", 0)
         batching["batched_requests"] += stats.get("batched_requests", 0)
@@ -267,6 +271,7 @@ def merge_worker_health(workers: list[dict]) -> dict:
         "cluster_size": len(workers),
         "workers_alive": alive,
         "gateway": merged_counters,
+        "delivery": delivery,
         "batching": batching,
         "request_log_records": request_log_records,
         "request_log_bytes": request_log_bytes,
@@ -335,6 +340,11 @@ class ServeDaemon:
         self._connections: set = set()
         self._deliveries: set = set()
         self._closing = False
+        # Gateway answers that reached the socket vs. ones whose write
+        # failed (the client went away): ``served_ok`` counts computation,
+        # these count delivery.
+        self.responses_written = 0
+        self.write_failed = 0
         self.address: tuple[str, int] | None = None
         self.control_address: tuple[str, int] | None = None
         self.window = WindowController(
@@ -521,6 +531,10 @@ class ServeDaemon:
                     },
                 },
                 "gateway": dataclasses.asdict(counters),
+                "delivery": {
+                    "responses_written": self.responses_written,
+                    "write_failed": self.write_failed,
+                },
                 "batching": {
                     "batches": stats.batches,
                     "batched_requests": stats.batched_requests,
@@ -695,14 +709,22 @@ class ServeDaemon:
                 writer.write((json.dumps(response) + "\n").encode("utf-8"))
                 await writer.drain()
 
+        async def write_answer(response: dict) -> None:
+            """Write one gateway answer, counting whether it was delivered."""
+            try:
+                await write_response(response)
+            except ConnectionError:
+                self.write_failed += 1
+            else:
+                self.responses_written += 1
+
         async def deliver(future, token=None) -> None:
             response = await asyncio.wrap_future(future)
             if self.request_log is not None and token is not None:
                 # Enqueue-only (the log's writer thread does the I/O):
                 # the response is not delayed by logging it.
                 self.request_log.record(self._log_entry(token, response))
-            with contextlib.suppress(ConnectionError):
-                await write_response(response)
+            await write_answer(response)
 
         oversized = False
         try:
@@ -765,7 +787,7 @@ class ServeDaemon:
                     # unresolved future behind the sentinel.  Refuse with a
                     # typed error instead — the drain guarantee covers what
                     # was admitted, not what arrives mid-shutdown.
-                    await write_response(
+                    await write_answer(
                         self.gateway.reject(
                             request, "daemon is shutting down; retry elsewhere"
                         )

@@ -6,6 +6,7 @@ Every test runs a real asyncio TCP server on an ephemeral port via
 the same way an external client would.
 """
 
+import asyncio
 import dataclasses
 import json
 import socket
@@ -350,6 +351,31 @@ class TestConnectionHardening:
         assert error["ok"] is False
         assert error["error"]["type"] == ERROR_REQUEST_TOO_LARGE
         assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_failed_write_is_counted_not_served_silently(
+        self, store, dataset, monkeypatch
+    ):
+        """A computed answer whose write raises is still ``served_ok`` (the
+        gateway balances) but shows up as ``write_failed``, not as
+        delivered."""
+        real_write = asyncio.StreamWriter.write
+
+        def write(self, data):
+            if b'"id": "doomed"' in data:
+                raise ConnectionResetError("client reset the connection")
+            return real_write(self, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+        with _run(store) as daemon:
+            client = _Client(daemon.address)
+            client.send({"id": "doomed", "features": _features(dataset)})
+            answer = client.ask({"id": 1, "features": _features(dataset)})
+            health = client.ask({"healthz": True})["healthz"]
+            client.close()
+        assert answer["ok"] is True and answer["id"] == 1
+        assert health["delivery"] == {"responses_written": 1, "write_failed": 1}
+        assert health["gateway"]["served_ok"] == 2
+        assert daemon.gateway.counters.balanced()
 
     def test_cluster_peers_only_on_the_control_listener(self, store):
         peers = {"cluster_peers": [[1, "127.0.0.1", 9]]}

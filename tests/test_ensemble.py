@@ -23,6 +23,8 @@ from repro.ml.ensemble import (
 from repro.registry import load_artifact, train_model_artifact
 from repro.serve import PredictionEngine
 from tests.strategies import labelled_datasets
+from tests.test_ml_svm import assert_matches_oracle
+from tests.test_ml_trees import assert_flat_walk_matches_trees
 from tests.test_model_artifacts import synthetic_dataset
 
 _PROPERTY_SETTINGS = settings(
@@ -229,3 +231,19 @@ class TestRegistryRoundTrip:
                 artifact.predict_features(data.X, name),
                 err_msg=f"{name} swp={data.swp}",
             )
+
+
+class TestArtifactInferenceOracles:
+    """After a registry save/load, the SVM's inference plan and the
+    forest's flat node table still answer like their per-machine and
+    per-tree oracles."""
+
+    def test_restored_svm_and_forest_match_oracles(self, artifact, dataset, tmp_path):
+        loaded = load_artifact(artifact.save(tmp_path / "model.rma"))
+        for family, check in (
+            ("svm", assert_matches_oracle),
+            ("forest", assert_flat_walk_matches_trees),
+        ):
+            heuristic = loaded.heuristic(family)
+            assert heuristic.feature_indices is None  # trained on every feature
+            check(heuristic.classifier, dataset.X)

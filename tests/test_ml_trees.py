@@ -1,6 +1,7 @@
 """The CART tree and the random forest: seeded determinism, exact
 permutation invariance of forest voting, per-split feature subsampling,
-and bit-identical state round-trips.
+bit-identical state round-trips, and the forest's flat node-table walk
+checked bit-for-bit against per-tree prediction.
 """
 
 import numpy as np
@@ -22,6 +23,14 @@ def _separable(n=48, n_classes=4, seed=0):
     labels = (np.arange(n) % n_classes) + 1
     X = rng.normal(size=(n, 8)) + labels[:, None] * 1.0
     return X, labels.astype(np.int64)
+
+
+def _permuted(forest: RandomForest, order) -> RandomForest:
+    """The same fitted forest with its trees in ``order`` (rebuilt through
+    the state, so the flat node table follows the new order)."""
+    state = forest.get_state()
+    state["trees"] = [state["trees"][i] for i in order]
+    return RandomForest.from_state(state)
 
 
 class TestDecisionTree:
@@ -73,8 +82,7 @@ class TestRandomForest:
         before = forest.predict_proba(X)
         rng = np.random.default_rng(42)
         for _ in range(3):
-            forest._trees = [forest._trees[i] for i in rng.permutation(len(forest._trees))]
-            after = forest.predict_proba(X)
+            after = _permuted(forest, rng.permutation(forest.n_trees)).predict_proba(X)
             assert before.tobytes() == after.tobytes()
 
     def test_proba_rows_are_distributions(self):
@@ -129,5 +137,54 @@ class TestRandomForest:
     def test_permutation_invariance_on_any_dataset(self, dataset):
         forest = RandomForest(n_trees=7, seed=0).fit(dataset.X, dataset.labels)
         before = forest.predict_proba(dataset.X)
-        forest._trees = forest._trees[::-1]
-        assert before.tobytes() == forest.predict_proba(dataset.X).tobytes()
+        reversed_forest = _permuted(forest, np.arange(forest.n_trees)[::-1])
+        assert before.tobytes() == reversed_forest.predict_proba(dataset.X).tobytes()
+
+
+def per_tree_proba(forest: RandomForest, X: np.ndarray) -> np.ndarray:
+    """The oracle for the flat walk: each tree's own ``predict_proba``,
+    mapped onto the forest's classes, aggregated sort-then-sum."""
+    X = np.atleast_2d(X)
+    stacked = np.zeros((len(forest._trees), len(X), len(forest.classes_)))
+    for t, tree in enumerate(forest._trees):
+        stacked[t][:, np.searchsorted(forest.classes_, tree._classes)] = tree.predict_proba(X)
+    return np.sort(stacked, axis=0).sum(axis=0) / len(forest._trees)
+
+
+def assert_flat_walk_matches_trees(forest: RandomForest, X: np.ndarray) -> None:
+    expected = per_tree_proba(forest, X)
+    assert forest.predict_proba(X).tobytes() == expected.tobytes()
+    singles = np.vstack([forest.predict_proba(X[i : i + 1]) for i in range(len(X))])
+    assert singles.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(
+        forest.predict(X), forest.classes_[np.argmax(expected, axis=1)]
+    )
+
+
+class TestFlatForestWalk:
+    @_PROPERTY_SETTINGS
+    @given(
+        dataset=labelled_datasets(),
+        seed=st.integers(0, 100),
+        max_depth=st.integers(1, 8),
+    )
+    def test_matches_per_tree_aggregation(self, dataset, seed, max_depth):
+        forest = RandomForest(n_trees=6, max_depth=max_depth, seed=seed).fit(
+            dataset.X, dataset.labels
+        )
+        rng = np.random.default_rng(seed)
+        queries = np.vstack([dataset.X, rng.normal(size=(5, dataset.X.shape[1])) * 4])
+        assert_flat_walk_matches_trees(forest, queries)
+        assert_flat_walk_matches_trees(RandomForest.from_state(forest.get_state()), queries)
+
+    def test_single_class_forest(self):
+        X, _ = _separable()
+        forest = RandomForest(n_trees=4, seed=0).fit(X, np.full(len(X), 3))
+        assert_flat_walk_matches_trees(forest, X)
+        np.testing.assert_array_equal(forest.predict(X), np.full(len(X), 3))
+
+    def test_node_table_is_read_only(self):
+        X, y = _separable()
+        forest = RandomForest(n_trees=3, seed=0).fit(X, y)
+        with pytest.raises(ValueError):
+            forest._flat.threshold[0] = 0.0

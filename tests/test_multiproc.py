@@ -383,6 +383,7 @@ class TestMergeWorkerHealth:
                 "overloaded": 1,
                 "deadline_exceeded": 0,
             },
+            "delivery": {"responses_written": admitted, "write_failed": 1},
             "batching": {"batches": 2, "batched_requests": admitted, "max_batch": 3},
             "request_log": {"records": records, "write_errors": 0},
             "uptime_s": 1.0,
@@ -398,6 +399,7 @@ class TestMergeWorkerHealth:
         assert merged["batching"]["batched_requests"] == 8
         assert merged["batching"]["max_batch"] == 3
         assert merged["request_log_records"] == 4
+        assert merged["delivery"] == {"responses_written": 8, "write_failed": 2}
         assert merged["balanced"] is True
 
     def test_unbalanced_worker_breaks_the_identity(self):
