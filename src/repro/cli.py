@@ -29,7 +29,8 @@ Subcommands map one-to-one onto the paper's artefacts:
 * ``export`` — dump the raw loop data in the release format.
 * ``cache`` — inspect or prune the measurement cache (stats/gc/clear).
 * ``bench`` — time the measure/label/select/serve stages against the
-  reference implementations and write a ``BENCH_<date>.json`` perf report.
+  reference implementations, write a ``BENCH_<date>.json`` perf report,
+  and exit 1 if it breaks a correctness invariant.
 
 Measurement fans out over ``--jobs`` worker processes (or ``$REPRO_JOBS``);
 results are bit-identical to a serial run at any parallelism.
@@ -391,6 +392,7 @@ def cmd_serve(args) -> int:
     import json
     import time
 
+    from repro.instrument import MeasurementRollup
     from repro.registry import ArtifactError, ArtifactStore
     from repro.serve import (
         DaemonConfig,
@@ -413,7 +415,6 @@ def cmd_serve(args) -> int:
             port=port,
             batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
-            replicas=args.replicas,
             queue_limit=args.queue_limit,
             deadline_s=args.deadline_ms / 1e3 if args.deadline_ms else None,
             reload_poll_s=args.reload_poll_s,
@@ -465,7 +466,8 @@ def cmd_serve(args) -> int:
             f"{args.model} ({'; '.join(loaded.failures)})",
             file=sys.stderr,
         )
-    engine = PredictionEngine(loaded.artifact, classifier=args.classifier)
+    rollup = MeasurementRollup()
+    engine = PredictionEngine(loaded.artifact, classifier=args.classifier, rollup=rollup)
     source = open(args.input) if args.input else sys.stdin
     try:
         lines = source.readlines()
@@ -484,7 +486,7 @@ def cmd_serve(args) -> int:
 
     for response in responses:
         print(json.dumps(response, sort_keys=True))
-    print(engine.rollup.latency_summary(wall), file=sys.stderr)
+    print(rollup.latency_summary(wall), file=sys.stderr)
     print(gateway.counters.summary(), file=sys.stderr)
     errors = sum(1 for r in responses if not r["ok"])
     if errors:
@@ -844,9 +846,10 @@ def cmd_suite_stats(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Time measure/label/select against the reference implementations and
-    write the BENCH_<date>.json perf report."""
-    from repro.perf import BenchConfig, run_bench, write_report
+    """Time measure/label/select against the reference implementations,
+    write the BENCH_<date>.json perf report, and exit 1 if the report
+    breaks any correctness invariant (:func:`repro.perf.check_report`)."""
+    from repro.perf import BenchConfig, check_report, run_bench, write_report
 
     import dataclasses
 
@@ -856,32 +859,12 @@ def cmd_bench(args) -> int:
     config = dataclasses.replace(config, suite_seed=args.seed)
     report = run_bench(config)
     print(report.summary())
-    measure = report.stage("measure").detail
-    if not measure.get("picks_match", True):
-        print("WARNING: reference-engine measurement tables diverge from production")
-    select = report.stage("select").detail
-    if not select.get("picks_match", True):
-        print("WARNING: fast and reference feature selection disagree")
-    serve = report.stage("serve").detail
-    if not serve.get("predictions_match", True):
-        print("WARNING: served predictions disagree with retrain-per-request")
-    daemon = report.stage("daemon").detail
-    if not daemon.get("predictions_match", True):
-        print("WARNING: batched daemon predictions disagree with per-request")
-    if daemon.get("reload", {}).get("responses_dropped"):
-        print("WARNING: hot reload dropped responses under live traffic")
-    families = report.stage("families").detail
-    if not families.get("predictions_match", True):
-        print("WARNING: family predictions diverge (scalar/batched, "
-              "restricted-ensemble, or save/load round trip)")
-    multiproc = report.stage("multiproc").detail
-    if not multiproc.get("predictions_match", True):
-        print("WARNING: multi-process predictions diverge across worker counts")
-    if not multiproc.get("balanced", True):
-        print("WARNING: multi-process healthz counters did not balance")
     path = write_report(report, args.out)
     print(f"wrote {path}")
-    return 0
+    failures = check_report(report.to_json())
+    for failure in failures:
+        print(f"FAILED: {failure}")
+    return 1 if failures else 0
 
 
 def cmd_export(args) -> int:
@@ -1036,12 +1019,6 @@ def main(argv=None) -> int:
         type=_positive_int,
         default=32,
         help="daemon cap on requests per coalesced batch (default: 32)",
-    )
-    serve_parser.add_argument(
-        "--replicas",
-        type=_positive_int,
-        default=2,
-        help="daemon engine replicas sharing the loaded artifact (default: 2)",
     )
     serve_parser.add_argument(
         "--reload-poll-s",

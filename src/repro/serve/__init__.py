@@ -3,22 +3,25 @@
 :class:`PredictionEngine` loads a trained :class:`~repro.registry.ModelArtifact`
 once and answers batched prediction requests — loop source or feature
 vectors in, unroll factors out — with a malformed-input error taxonomy
-instead of crashes, and per-request latency/throughput counters flowing
-through :class:`~repro.instrument.MeasurementRollup`.
+instead of crashes, and (when given a
+:class:`~repro.instrument.MeasurementRollup`) per-request latency and
+throughput counters.
 
 :class:`ServeGateway` hardens that engine for service shape: a bounded
 queue with typed ``overloaded`` backpressure, per-client fair-share
-admission, per-request deadlines, batched execution over engine replicas,
+admission, per-request deadlines, batched execution on a thread pool,
 and a graceful drain that never drops admitted work.
 :func:`load_serving_artifact` is the circuit breaker in front of both — a
 corrupt artifact is quarantined and the registry's last good model is
 served in its place.  :class:`ServeDaemon` is the network tier on top:
 an asyncio TCP front-end that coalesces concurrent clients' requests
-into vectorized engine batches, hot-reloads newer registry artifacts with
-zero downtime, and answers ``healthz`` probes.  :class:`ServeCluster`
+into vectorized batches for its one engine on one compute thread,
+hot-reloads newer registry artifacts with zero downtime, and answers
+``healthz`` probes.  :class:`ServeCluster`
 multiplies that daemon across N shared-nothing worker *processes* on one
-port — ``SO_REUSEPORT`` kernel sharding where available, a round-robin
-asyncio balancer elsewhere — with crash restarts, drain fan-out, and
+port (``--workers``, the serve tier's one concurrency knob) —
+``SO_REUSEPORT`` kernel sharding where available, a round-robin asyncio
+balancer elsewhere — with crash restarts, drain fan-out, and
 aggregated cluster health.  :class:`RequestLog` records every served
 prediction as append-mode JSON lines, off the hot path.
 """

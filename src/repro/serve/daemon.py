@@ -19,11 +19,12 @@ What the daemon adds over one-process/one-client serving:
   expires almost empty and latency stays near per-request; under load
   batches fill up and throughput scales with the vector width — the
   window adapts by doing nothing.
-* **Engine replicas.**  ``replicas`` independent
-  :class:`~repro.serve.engine.PredictionEngine` instances share one
-  loaded :class:`~repro.registry.ModelArtifact` (immutable, zero copies)
-  behind one :class:`~repro.serve.gateway.ServeGateway`; concurrent
-  batches are dealt round-robin so they execute in parallel workers.
+* **One engine, one compute thread.**  One
+  :class:`~repro.serve.engine.PredictionEngine` sits behind one
+  :class:`~repro.serve.gateway.ServeGateway` whose pool has a single
+  thread: batches execute one at a time, off the event loop.  A process
+  has one GIL, so more threads would only contend; ``--workers`` (more
+  processes, see :mod:`repro.serve.multiproc`) is the concurrency knob.
 * **Admission at arrival.**  Every request is admitted or rejected the
   moment it is read, tagged with its connection's peer address —
   the gateway's queue bound and per-client fair share mean one flooding
@@ -32,13 +33,13 @@ What the daemon adds over one-process/one-client serving:
 * **Hot artifact reload.**  :meth:`ServeDaemon.maybe_reload` (and the
   background watcher when ``reload_poll_s`` is set) notices a newer
   last-good artifact in the registry, loads it through the PR-4
-  quarantine/fallback path, and swaps in fresh replicas between batches —
-  in-flight batches finish on the engines they started with, so reload
-  drops zero accepted requests.
+  quarantine/fallback path, and swaps in a fresh engine between batches —
+  a batch already executing finishes on the engine it started with, so
+  reload drops zero accepted requests.
 * **Introspection.**  A ``{"healthz": true}`` request is answered inline
-  (never queued) with gateway counters, batching stats, replica count,
-  and the loaded artifact's path + checksum — the daemon's whole state in
-  one probe.
+  (never queued) with gateway counters, delivery counters, batching
+  stats, and the loaded artifact's path + checksum — the daemon's whole
+  state in one probe.
 
 Shutdown is drain-shaped: stop accepting connections, flush the
 coalescing queue, then ``gateway.drain()`` — every admitted request gets
@@ -59,7 +60,6 @@ import threading
 import time
 from pathlib import Path
 
-from repro.instrument.report import MeasurementRollup
 from repro.machine.itanium2 import ITANIUM2
 from repro.machine.model import MachineModel
 from repro.registry.artifact import ArtifactStore, load_or_quarantine
@@ -90,12 +90,12 @@ class DaemonConfig:
     holds the first request of a batch open for company.  Larger windows
     trade tail latency for bigger (faster-per-request) vectorized batches;
     ``0`` disables coalescing entirely (every request is its own batch).
-    With ``adaptive_window`` (the default) that value is the *ceiling*:
-    a latency-aware controller shrinks the live window toward zero while
-    batches close under-full (a trickle pays per-request latency, not the
-    window) and grows it back under sustained queue depth (a flood earns
-    its coalescing).  ``port=0`` binds an ephemeral port (the bound
-    address is on :attr:`ServeDaemon.address` after start).
+    Otherwise that value is the *ceiling*: a latency-aware controller
+    shrinks the live window toward zero while batches close under-full (a
+    trickle pays per-request latency, not the window) and grows it back
+    under sustained queue depth (a flood earns its coalescing).
+    ``port=0`` binds an ephemeral port (the bound address is on
+    :attr:`ServeDaemon.address` after start).
 
     The multi-process tier's knobs: ``reuse_port`` binds the listen
     socket with ``SO_REUSEPORT`` so sibling worker processes can share
@@ -105,7 +105,8 @@ class DaemonConfig:
     updates regardless of where the kernel routes public connections
     (``cluster_peers`` updates are accepted only there);
     ``worker_id`` tags healthz and request-log records; ``request_log``
-    appends one JSON line per served response (see
+    appends one JSON line per answered request, written once the
+    response's socket write has succeeded or failed (see
     :mod:`repro.serve.requestlog`).
     """
 
@@ -113,12 +114,10 @@ class DaemonConfig:
     port: int = 0
     batch_window_ms: float = 2.0
     max_batch: int = 32
-    replicas: int = 2
     queue_limit: int = 256
     deadline_s: float | None = None
     reload_poll_s: float | None = None
     classifier: str = "svm"
-    adaptive_window: bool = True
     reuse_port: bool = False
     bind_control: bool = False
     worker_id: int | None = None
@@ -130,8 +129,6 @@ class DaemonConfig:
             raise ValueError(f"batch_window_ms must be >= 0, got {self.batch_window_ms}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
 
 
 class WindowController:
@@ -300,12 +297,17 @@ async def _discard_until_eof(reader: asyncio.StreamReader) -> None:
 
 
 class ServeDaemon:
-    """One artifact, N engine replicas, one socket, shared micro-batching.
+    """One artifact, one engine, one socket, shared micro-batching.
 
     Construct, then either drive the asyncio lifecycle directly
     (``await start()`` / ``await stop()`` on a running loop) or use
     :class:`BackgroundDaemon` / :meth:`run` which own a loop for you.
     """
+
+    #: Gateway pool threads.  Batches are GIL-bound NumPy work, so one
+    #: thread keeps compute off the event loop and a second would only
+    #: contend for the same interpreter; scale with worker processes.
+    COMPUTE_THREADS = 1
 
     def __init__(
         self,
@@ -320,11 +322,10 @@ class ServeDaemon:
         self.loaded = load_serving_artifact(model_path, store=self._store, machine=machine)
         self.checksum = _file_checksum(self.loaded.path)
         self._artifact_mtime = self.loaded.path.stat().st_mtime
-        self.rollup = MeasurementRollup()
         self.gateway = ServeGateway(
-            self._build_replicas(self.loaded.artifact),
+            PredictionEngine(self.loaded.artifact, classifier=self.config.classifier),
             GatewayConfig(
-                max_workers=self.config.replicas,
+                max_workers=self.COMPUTE_THREADS,
                 queue_limit=self.config.queue_limit,
                 deadline_s=self.config.deadline_s,
             ),
@@ -347,13 +348,7 @@ class ServeDaemon:
         self.write_failed = 0
         self.address: tuple[str, int] | None = None
         self.control_address: tuple[str, int] | None = None
-        self.window = WindowController(
-            self.config.batch_window_ms if self.config.adaptive_window else 0.0,
-            self.config.max_batch,
-        )
-        if not self.config.adaptive_window:
-            # Controller disabled: run the configured window verbatim.
-            self.window.window_ms = self.config.batch_window_ms
+        self.window = WindowController(self.config.batch_window_ms, self.config.max_batch)
         self.gateway.batch_stats.window_ms = self.window.window_ms
         self.request_log = (
             RequestLog(
@@ -367,14 +362,6 @@ class ServeDaemon:
         #: Sibling workers for aggregated healthz: (worker_id, host, port)
         #: control addresses, installed by the supervisor's peer broadcast.
         self._peers: tuple[tuple[int, str, int], ...] = ()
-
-    def _build_replicas(self, artifact) -> tuple[PredictionEngine, ...]:
-        """N engines over one immutable artifact — shared weights, shared
-        rollup, no copies."""
-        return tuple(
-            PredictionEngine(artifact, classifier=self.config.classifier, rollup=self.rollup)
-            for _ in range(self.config.replicas)
-        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -460,9 +447,9 @@ class ServeDaemon:
         """Swap in the registry's newest artifact if it is newer than ours.
 
         Thread-safe and cheap when nothing changed (one registry scan +
-        stat).  On reload the gateway's replicas are replaced atomically:
-        batches already executing keep their engines, every later batch
-        runs the new model.  Returns whether a swap happened.
+        stat).  On reload the gateway's engine is replaced atomically: a
+        batch already executing keeps its engine, every later batch runs
+        the new model.  Returns whether a swap happened.
         """
         with self._reload_lock:
             newest: tuple[float, Path] | None = None
@@ -492,7 +479,9 @@ class ServeDaemon:
                 # remember the newer mtime, skip the swap.
                 self._artifact_mtime = mtime
                 return False
-            self.gateway.swap_replicas(self._build_replicas(artifact))
+            self.gateway.swap_engine(
+                PredictionEngine(artifact, classifier=self.config.classifier)
+            )
             self.loaded = dataclasses.replace(
                 self.loaded, artifact=artifact, path=path, fallback=False
             )
@@ -544,7 +533,6 @@ class ServeDaemon:
                     "max_batch_limit": self.config.max_batch,
                     "adaptive": self.window.stats(),
                 },
-                "replicas": len(self.gateway.replicas),
                 "cluster_peers": len(self._peers),
                 "request_log": (
                     self.request_log.stats() if self.request_log is not None else None
@@ -590,8 +578,8 @@ class ServeDaemon:
         )
         return {"ok": True, "healthz": merged}
 
-    def _log_entry(self, token, response: dict) -> dict:
-        """One served-request log record (see :mod:`repro.serve.requestlog`
+    def _log_entry(self, token, response: dict, delivered: bool) -> dict:
+        """One answered-request log record (see :mod:`repro.serve.requestlog`
         for the field contract)."""
         request = token.request if isinstance(token.request, dict) else {}
         ok = bool(response.get("ok"))
@@ -613,6 +601,7 @@ class ServeDaemon:
             "confidence": response.get("confidence"),
             "error_type": None if ok else response.get("error", {}).get("type"),
             "latency_ms": round((time.monotonic() - token.enqueued) * 1e3, 3),
+            "delivered": delivered,
         }
 
     # ------------------------------------------------------------------
@@ -709,22 +698,23 @@ class ServeDaemon:
                 writer.write((json.dumps(response) + "\n").encode("utf-8"))
                 await writer.drain()
 
-        async def write_answer(response: dict) -> None:
-            """Write one gateway answer, counting whether it was delivered."""
+        async def write_answer(response: dict) -> bool:
+            """Write one gateway answer; counts and returns whether it was
+            delivered."""
             try:
                 await write_response(response)
             except ConnectionError:
                 self.write_failed += 1
-            else:
-                self.responses_written += 1
+                return False
+            self.responses_written += 1
+            return True
 
-        async def deliver(future, token=None) -> None:
-            response = await asyncio.wrap_future(future)
-            if self.request_log is not None and token is not None:
-                # Enqueue-only (the log's writer thread does the I/O):
-                # the response is not delayed by logging it.
-                self.request_log.record(self._log_entry(token, response))
-            await write_answer(response)
+        async def deliver(token) -> None:
+            response = await asyncio.wrap_future(token.future)
+            delivered = await write_answer(response)
+            if self.request_log is not None:
+                # Enqueue-only (the log's writer thread does the I/O).
+                self.request_log.record(self._log_entry(token, response, delivered))
 
         oversized = False
         try:
@@ -798,7 +788,7 @@ class ServeDaemon:
                     await self._queue.put(token)
                 # Responses are written in completion order, matched to
                 # requests by id — a pipelining client must tag requests.
-                delivery = asyncio.ensure_future(deliver(token.future, token))
+                delivery = asyncio.ensure_future(deliver(token))
                 for registry in (deliveries, self._deliveries):
                     registry.add(delivery)
                     delivery.add_done_callback(registry.discard)

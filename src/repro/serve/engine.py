@@ -18,12 +18,13 @@ probability of the chosen factor) and ``votes`` (per-family factors) — **every
 comes back as a response; the engine never raises on bad input, so one
 poisoned request cannot take down a batch.
 
-Each request is timed and recorded into a
-:class:`~repro.instrument.MeasurementRollup` (one unit per request,
-``seconds`` = latency), which gives the CLI p50/p95/p99 latency and
-requests-per-second for free.  Batches fan out over a thread pool —
-prediction is pure NumPy on immutable state, so requests are trivially
-parallel — and responses always come back in request order.
+Every request is timed into its response's ``latency_ms``.  An engine
+given a :class:`~repro.instrument.MeasurementRollup` also records one
+unit per request there (``seconds`` = latency), which gives ``repro
+serve --input`` its p50/p95/p99 line; an engine without one (the
+daemon's) retains nothing per request.  :meth:`PredictionEngine.handle_batch`
+answers a batch with one vectorized prediction per classifier, in
+request order; concurrency is the caller's business (the gateway's pool).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -107,7 +107,7 @@ def parse_request_lines(lines) -> list:
 
 
 class PredictionEngine:
-    """Load an artifact once, answer batched requests concurrently."""
+    """Load an artifact once, answer any number of request batches."""
 
     def __init__(
         self,
@@ -119,7 +119,7 @@ class PredictionEngine:
             raise ValueError(f"unknown classifier {classifier!r}")
         self.artifact = artifact
         self.default_classifier = classifier
-        self.rollup = rollup if rollup is not None else MeasurementRollup()
+        self.rollup = rollup
         # Resolve each classifier's heuristic once; every request (and the
         # vectorized batch path) reads this immutable table instead of
         # re-asking the artifact per prediction.
@@ -244,27 +244,11 @@ class PredictionEngine:
             return None
         return classifier, vector
 
-    def serve_batch(self, requests, max_workers: int | None = None) -> list[dict]:
-        """Answer a batch; responses come back in request order.
-
-        ``max_workers`` > 1 fans requests over a thread pool (prediction
-        is pure NumPy on immutable state); the default serves serially.
-        """
-        requests = list(requests)
-        if max_workers is not None and max_workers > 1 and len(requests) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(self.handle, requests))
-        return [self.handle(request) for request in requests]
-
-    def serve_lines(self, lines, max_workers: int | None = None) -> list[dict]:
-        """The JSON-lines batch protocol: one request per non-blank line;
-        a line that is not valid JSON yields an ``invalid-json`` response
-        in its slot rather than aborting the batch."""
-        return self.serve_batch(parse_request_lines(lines), max_workers=max_workers)
-
     # ------------------------------------------------------------------
 
     def _record(self, factor: int, n_loops: int, seconds: float) -> None:
+        if self.rollup is None:
+            return
         self.rollup.record(
             UnitTiming(
                 benchmark="serve",

@@ -1,7 +1,7 @@
 """Admission control, deadlines, and graceful drain for the serve path.
 
 The engine answers requests; the gateway decides *whether and when* they
-get to run, and on *which replica*.  Four protections wrap
+get to run.  Four protections wrap
 :class:`~repro.serve.engine.PredictionEngine`:
 
 * **Backpressure** — at most ``queue_limit`` requests may be pending
@@ -29,13 +29,11 @@ Execution is *batched*: admission (:meth:`ServeGateway.admit`) hands back
 a token whose future resolves to the response, and
 :meth:`ServeGateway.execute_batch` runs any number of admitted tokens as
 **one** engine call (``PredictionEngine.handle_batch``, which stacks
-feature requests into a single vectorized prediction).  The gateway can
-hold several engine **replicas** — independent ``PredictionEngine``
-instances sharing one immutable loaded artifact, zero copies — and deals
-batches to them round-robin, so concurrent batches run on separate
-replicas.  :meth:`ServeGateway.swap_replicas` atomically replaces the
-replica set between batches (in-flight batches finish on the engines they
-started with), which is what makes the daemon's hot artifact reload a
+feature requests into a single vectorized prediction) on a pool of
+``max_workers`` threads.  The gateway holds one engine;
+:meth:`ServeGateway.swap_engine` atomically replaces it between batches
+(a batch already handed to the pool finishes on the engine it started
+with), which is what makes the daemon's hot artifact reload a
 zero-downtime operation.
 
 Every decision is tallied in :class:`GatewayCounters`, batch shapes in
@@ -163,50 +161,31 @@ def _rejected(response: dict) -> "Future[dict]":
 
 
 class ServeGateway:
-    """Bounded, deadline-aware front door for prediction-engine replicas.
+    """Bounded, deadline-aware front door for one prediction engine.
 
-    ``engine`` may be a single :class:`PredictionEngine` or a sequence of
-    replicas sharing one loaded artifact; ``self.engine`` is always the
-    first replica (the single-engine callers never notice).  Usable as a
-    context manager; exit drains (never drops) in-flight work.
+    Usable as a context manager; exit drains (never drops) in-flight work.
     """
 
-    def __init__(self, engine, config: GatewayConfig | None = None):
-        replicas = (
-            (engine,) if isinstance(engine, PredictionEngine) else tuple(engine)
-        )
-        if not replicas:
-            raise ValueError("at least one engine replica is required")
-        self._replicas = replicas
-        self.engine = replicas[0]
+    def __init__(self, engine: PredictionEngine, config: GatewayConfig | None = None):
+        self.engine = engine
         self.config = config or GatewayConfig()
         self.counters = GatewayCounters()
         self.batch_stats = BatchStats()
         self._lock = threading.Lock()
         self._pending = 0
         self._client_pending: dict[str, int] = {}
-        self._next_replica = 0
         self._draining = False
         self._pool = ThreadPoolExecutor(max_workers=self.config.max_workers)
 
-    @property
-    def replicas(self) -> tuple[PredictionEngine, ...]:
-        return self._replicas
+    def swap_engine(self, engine: PredictionEngine) -> None:
+        """Atomically replace the engine (hot artifact reload).
 
-    def swap_replicas(self, replicas) -> None:
-        """Atomically replace the replica set (hot artifact reload).
-
-        Batches already executing finish on the engines they started with;
-        every batch dealt after the swap runs on the new replicas — no
-        request is dropped or delayed by the exchange.
+        Batches already handed to the pool finish on the engine they
+        started with; every batch handed over after the swap runs on the
+        new one — no request is dropped or delayed by the exchange.
         """
-        replicas = tuple(replicas)
-        if not replicas:
-            raise ValueError("at least one engine replica is required")
         with self._lock:
-            self._replicas = replicas
-            self.engine = replicas[0]
-            self._next_replica = 0
+            self.engine = engine
 
     # ------------------------------------------------------------------
 
@@ -280,7 +259,7 @@ class ServeGateway:
         return error_response(request_id, ERROR_OVERLOADED, message)
 
     def execute_batch(self, tokens) -> None:
-        """Run admitted tokens as one engine batch on the next replica.
+        """Run admitted tokens as one engine batch on a pool thread.
 
         Each token's future resolves to its response.  If the pool is
         already shut down (a drain race), every token resolves to a typed
@@ -291,12 +270,11 @@ class ServeGateway:
         if not tokens:
             return
         with self._lock:
-            replica = self._replicas[self._next_replica % len(self._replicas)]
-            self._next_replica += 1
             try:
                 # Still under the lock: drain() cannot shut the pool down
-                # between the admission check and the hand-off.
-                self._pool.submit(self._run_batch, tokens, replica)
+                # between the admission check and the hand-off, and a
+                # concurrent swap_engine() lands wholly before or after it.
+                self._pool.submit(self._run_batch, tokens, self.engine)
                 return
             except RuntimeError:
                 # The pool was already shut down before we saw _draining.
@@ -380,7 +358,7 @@ class ServeGateway:
         else:
             self._client_pending.pop(client, None)
 
-    def _run_batch(self, tokens, replica: PredictionEngine) -> None:
+    def _run_batch(self, tokens, engine: PredictionEngine) -> None:
         """Worker-side: enforce deadlines around one batched engine call.
 
         Slots are released (and counters settled) *before* any future
@@ -388,7 +366,7 @@ class ServeGateway:
         queue capacity it consumed already free again.
         """
         try:
-            responses = self._compute_batch(tokens, replica)
+            responses = self._compute_batch(tokens, engine)
         except BaseException as error:  # the taxonomy's floor, worker edition
             responses = [
                 error_response(token.request_id, ERROR_INTERNAL, str(error))
@@ -408,7 +386,7 @@ class ServeGateway:
         for token, response in zip(tokens, responses):
             token.future.set_result(response)
 
-    def _compute_batch(self, tokens, replica: PredictionEngine) -> list[dict]:
+    def _compute_batch(self, tokens, engine: PredictionEngine) -> list[dict]:
         """One batched engine call, bracketed by the two deadline checks."""
         deadline = self.config.deadline_s
         responses: list[dict | None] = [None] * len(tokens)
@@ -434,7 +412,7 @@ class ServeGateway:
             live.append(index)
             requests.append(request)
         if live:
-            for index, response in zip(live, replica.handle_batch(requests)):
+            for index, response in zip(live, engine.handle_batch(requests)):
                 token = tokens[index]
                 elapsed = time.monotonic() - token.enqueued
                 if deadline is not None and elapsed > deadline:

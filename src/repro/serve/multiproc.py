@@ -1,13 +1,15 @@
 """The shared-nothing multi-process serve tier: one port, N interpreters.
 
-PR 7's daemon is one Python process: the socket loop and every replica
-prediction contend on a single GIL.  This module escapes it the way
+A :class:`~repro.serve.daemon.ServeDaemon` is one Python process: its
+socket loop and its single compute thread contend on one GIL.  Worker
+processes are therefore the serve tier's only concurrency knob
+(``--workers``), and this module escapes the GIL the way
 production Python services do — by not sharing anything.  ``repro serve
 --listen HOST:PORT --workers N`` runs a :class:`ServeCluster`: a parent
 *supervisor* process that forks N completely independent
 :class:`~repro.serve.daemon.ServeDaemon` worker processes, each with its
-own interpreter, its own loaded artifact, its own replicas, batch loop,
-window controller, and hot-reload watcher.  Two sharding modes, chosen
+own interpreter, its own loaded artifact and engine, batch loop, window
+controller, and hot-reload watcher.  Two sharding modes, chosen
 automatically:
 
 * **``reuseport``** (Linux and modern BSDs): every worker binds the same
@@ -101,8 +103,8 @@ class ClusterConfig:
 
     ``daemon`` is the per-worker template: its ``host``/``port``/
     ``reuse_port``/``bind_control``/``worker_id`` fields are overridden
-    per worker; everything else (window, max_batch, replicas, queue
-    limit, deadline, reload poll, classifier, request log) applies to
+    per worker; everything else (window, max_batch, queue limit,
+    deadline, reload poll, classifier, request log) applies to
     every worker identically.  Restart backoff doubles from
     ``restart_backoff_s`` to ``restart_backoff_max_s`` across
     consecutive failures and resets once a worker survives

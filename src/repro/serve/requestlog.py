@@ -33,8 +33,10 @@ feature vector or loop source — the dedup/drift key for the closed
 loop), the raw ``features`` vector or loop ``source`` (what the
 lifecycle replays for drift scans and canary evaluation), ``ok``,
 ``factor``, ``confidence`` (ensemble requests), an ``error_type`` for
-non-ok responses, and ``latency_ms`` measured from gateway admission to
-response delivery.
+non-ok responses, ``latency_ms`` measured from gateway admission to
+the end of the response write, and ``delivered`` — whether that socket
+write succeeded (the same outcome healthz counts as
+``delivery.responses_written`` / ``delivery.write_failed``).
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ the same way an external client would.
 
 import asyncio
 import dataclasses
+import gc
 import json
 import socket
 import threading
@@ -15,6 +16,7 @@ import time
 
 import pytest
 
+from repro.instrument.report import UnitTiming
 from repro.registry import ArtifactStore, train_model_artifact
 from repro.serve import (
     ERROR_BAD_FEATURE_VECTOR,
@@ -25,6 +27,7 @@ from repro.serve import (
     BackgroundDaemon,
     DaemonConfig,
     ServeDaemon,
+    read_request_log,
 )
 
 from tests.test_model_artifacts import synthetic_dataset
@@ -301,7 +304,7 @@ class TestClassifierFamilies(DaemonHarness):
 
 class TestHealthz:
     def test_healthz_reports_state(self, store, dataset):
-        with _run(store, replicas=3) as daemon:
+        with _run(store) as daemon:
             client = _Client(daemon.address)
             client.ask({"id": 0, "features": _features(dataset)})
             response = client.ask({"healthz": True, "id": "probe"})
@@ -309,7 +312,6 @@ class TestHealthz:
         assert response["ok"] is True
         assert response["id"] == "probe"
         health = response["healthz"]
-        assert health["replicas"] == 3
         assert health["artifact"]["checksum"] == daemon.checksum
         assert health["artifact"]["fallback"] is False
         assert health["artifact"]["reloads"] == 0
@@ -353,11 +355,11 @@ class TestConnectionHardening:
         assert not [r for r in caplog.records if r.name == "asyncio"]
 
     def test_failed_write_is_counted_not_served_silently(
-        self, store, dataset, monkeypatch
+        self, store, dataset, monkeypatch, tmp_path
     ):
         """A computed answer whose write raises is still ``served_ok`` (the
-        gateway balances) but shows up as ``write_failed``, not as
-        delivered."""
+        gateway balances) but shows up as ``write_failed`` and as
+        ``"delivered": false`` in the request log, not as delivered."""
         real_write = asyncio.StreamWriter.write
 
         def write(self, data):
@@ -366,7 +368,8 @@ class TestConnectionHardening:
             return real_write(self, data)
 
         monkeypatch.setattr(asyncio.StreamWriter, "write", write)
-        with _run(store) as daemon:
+        log = tmp_path / "requests.jsonl"
+        with _run(store, request_log=str(log)) as daemon:
             client = _Client(daemon.address)
             client.send({"id": "doomed", "features": _features(dataset)})
             answer = client.ask({"id": 1, "features": _features(dataset)})
@@ -376,6 +379,8 @@ class TestConnectionHardening:
         assert health["delivery"] == {"responses_written": 1, "write_failed": 1}
         assert health["gateway"]["served_ok"] == 2
         assert daemon.gateway.counters.balanced()
+        delivered = {r["id"]: r["delivered"] for r in read_request_log(log)}
+        assert delivered == {"doomed": False, 1: True}
 
     def test_cluster_peers_only_on_the_control_listener(self, store):
         peers = {"cluster_peers": [[1, "127.0.0.1", 9]]}
@@ -562,12 +567,21 @@ class TestLifecycle:
             DaemonConfig(batch_window_ms=-1.0)
         with pytest.raises(ValueError, match="max_batch"):
             DaemonConfig(max_batch=0)
-        with pytest.raises(ValueError, match="replicas"):
-            DaemonConfig(replicas=0)
 
-    def test_replicas_share_one_artifact_object(self, store):
-        daemon = ServeDaemon(store.path_for("base"), DaemonConfig(replicas=4), store=store)
-        engines = daemon.gateway.replicas
-        assert len(engines) == 4
-        assert all(e.artifact is engines[0].artifact for e in engines)
-        daemon.gateway.drain()
+    def test_serving_retains_no_per_request_timing(self, store, dataset):
+        # A long-lived daemon must not grow with traffic: per-request
+        # latency lives in the response and the request log, never in an
+        # in-process list.
+        def timings():
+            gc.collect()
+            return sum(isinstance(o, UnitTiming) for o in gc.get_objects())
+
+        with _run(store) as daemon:
+            client = _Client(daemon.address)
+            before = timings()
+            for i in range(100):
+                assert client.ask({"id": i, "features": _features(dataset, i % 40)})["ok"]
+            retained = timings() - before
+            client.close()
+        assert daemon.gateway.counters.served_ok == 100
+        assert retained == 0

@@ -97,7 +97,7 @@ def shared_clusters(model_dir):
         if mode not in started:
             config = ClusterConfig(
                 workers=2,
-                daemon=DaemonConfig(batch_window_ms=2.0, replicas=2),
+                daemon=DaemonConfig(batch_window_ms=2.0),
             )
             cluster = _start_cluster(
                 model_dir, config, force_balancer=mode == "balancer"
@@ -505,17 +505,6 @@ class TestAdaptiveWindow:
         assert daemon.window.window_ms > shrunk_to
         assert daemon.gateway.batch_stats.window_grows > 0
 
-    def test_adaptive_disabled_pins_configured_window(self, store, dataset):
-        config = DaemonConfig(batch_window_ms=4.0, adaptive_window=False)
-        daemon = ServeDaemon(store.path_for("base"), config, store=store)
-        with BackgroundDaemon(daemon) as server:
-            client = _Client(server.address)
-            for i in range(12):
-                client.ask({"id": i, "features": _features(dataset)})
-            client.close()
-        assert daemon.window.window_ms == 4.0
-        assert daemon.window.shrinks == 0
-
 
 class TestRequestLog:
     def test_features_checksum_is_format_insensitive(self):
@@ -597,6 +586,7 @@ class TestRequestLog:
         )
         assert good["latency_ms"] >= 0.0
         assert good["ts"] > 0
+        assert good["delivered"] is True
         conf = records["conf"]
         assert conf["classifier"] == "ensemble"
         assert conf["confidence"] == ensemble["confidence"]

@@ -2,8 +2,8 @@
 
 The contract under test: an engine wraps one loaded artifact, never
 raises on malformed input (every failure is a *typed* response), answers
-batches in request order regardless of concurrency, and accounts every
-request in its rollup.
+batches in request order regardless of the gateway's pool width, and
+accounts every request in the rollup it was given.
 """
 
 import numpy as np
@@ -173,8 +173,10 @@ class TestBatching:
 
     def test_concurrent_matches_serial_in_order(self, engine, dataset):
         batch = self._mixed_batch(dataset)
-        serial = engine.serve_batch(batch, max_workers=1)
-        concurrent = engine.serve_batch(batch, max_workers=4)
+        with ServeGateway(engine, GatewayConfig(max_workers=1)) as gateway:
+            serial = gateway.serve_batch(batch)
+        with ServeGateway(engine, GatewayConfig(max_workers=4)) as gateway:
+            concurrent = gateway.serve_batch(batch)
         assert [r["id"] for r in serial] == list(range(len(batch)))
         assert [r["id"] for r in concurrent] == list(range(len(batch)))
         for a, b in zip(serial, concurrent):
@@ -187,14 +189,16 @@ class TestBatching:
             {"id": 1, "source": "loop broken\nend"},
             {"id": 2, "features": _features(dataset, 1)},
         ]
-        responses = engine.serve_batch(batch, max_workers=2)
+        with ServeGateway(engine, GatewayConfig(max_workers=2)) as gateway:
+            responses = gateway.serve_batch(batch)
         assert [r["ok"] for r in responses] == [True, False, True]
 
     def test_rollup_accounts_every_request(self, artifact, dataset):
         rollup = MeasurementRollup()
         engine = PredictionEngine(artifact, rollup=rollup)
         batch = self._mixed_batch(dataset, n=9)
-        engine.serve_batch(batch, max_workers=3)
+        with ServeGateway(engine, GatewayConfig(max_workers=3)) as gateway:
+            gateway.serve_batch(batch)
         assert rollup.n_units == 9
         pcts = rollup.latency_percentiles()
         assert set(pcts) == {50.0, 95.0, 99.0}
@@ -219,7 +223,8 @@ class TestServeLines:
             "",  # blank lines are skipped, not errors
             json.dumps({"id": 2, "features": _features(dataset, 1)}),
         ]
-        responses = engine.serve_lines(lines)
+        with ServeGateway(engine) as gateway:
+            responses = gateway.serve_lines(lines)
         assert len(responses) == 3
         assert responses[0]["ok"] is True
         assert responses[1]["ok"] is False
@@ -229,7 +234,8 @@ class TestServeLines:
 
     def test_scalar_json_is_malformed_not_invalid(self, engine):
         # "42" parses as JSON; it fails later, as a malformed *request*.
-        [response] = engine.serve_lines(["42"])
+        with ServeGateway(engine) as gateway:
+            [response] = gateway.serve_lines(["42"])
         assert response["error"]["type"] == ERROR_MALFORMED_REQUEST
 
 
@@ -248,6 +254,7 @@ class TestInputWidth:
 # ---------------------------------------------------------------------------
 
 import os
+import threading
 import time
 
 from repro.registry import ArtifactError, ArtifactStore
@@ -279,7 +286,8 @@ class TestInternalErrorPath:
             {"id": 2, "features": _features(dataset)},
         ]
         with fault_plan(plan):
-            responses = engine.serve_batch(batch)
+            with ServeGateway(engine) as gateway:
+                responses = gateway.serve_batch(batch)
         assert [r["ok"] for r in responses] == [True, False, True]
         assert responses[1]["error"]["type"] == ERROR_INTERNAL
 
@@ -607,27 +615,30 @@ class TestGatewayBatchedExecution:
         assert gateway._pending == 0
         assert gateway._client_pending == {}
 
-    def test_replicas_round_robin_and_swap(self, artifact, dataset):
-        replicas = [PredictionEngine(artifact) for _ in range(2)]
-        gateway = ServeGateway(replicas)
-        assert gateway.engine is replicas[0]
-        assert gateway.replicas == tuple(replicas)
-        fresh = [PredictionEngine(artifact) for _ in range(3)]
-        gateway.swap_replicas(fresh)
-        assert gateway.replicas == tuple(fresh)
-        with gateway:
-            response = gateway.submit(
-                {"id": 0, "features": _features(dataset)}
-            ).result(timeout=5.0)
-        assert response["ok"] is True
+    def test_swap_engine_keeps_in_flight_batch_on_old_engine(self, artifact, dataset):
+        # The old and new engines differ only in their default classifier,
+        # which every response names: that shows which engine answered.
+        started, release = threading.Event(), threading.Event()
 
-    def test_empty_replicas_rejected(self, engine):
-        with pytest.raises(ValueError, match="replica"):
-            ServeGateway([])
-        gateway = ServeGateway(engine)
-        with pytest.raises(ValueError, match="replica"):
-            gateway.swap_replicas([])
-        gateway.drain()
+        class GatedEngine(PredictionEngine):
+            def handle_batch(self, requests):
+                started.set()
+                assert release.wait(5.0)
+                return super().handle_batch(requests)
+
+        old = GatedEngine(artifact, classifier="svm")
+        new = PredictionEngine(artifact, classifier="nn")
+        with ServeGateway(old, GatewayConfig(max_workers=1)) as gateway:
+            in_flight = gateway.submit({"id": 0, "features": _features(dataset)})
+            assert started.wait(5.0)
+            gateway.swap_engine(new)
+            assert gateway.engine is new
+            after = gateway.submit({"id": 1, "features": _features(dataset)})
+            release.set()
+            responses = [in_flight.result(timeout=5.0), after.result(timeout=5.0)]
+        assert [r["ok"] for r in responses] == [True, True]
+        assert [r["classifier"] for r in responses] == ["svm", "nn"]
+        assert gateway.counters.balanced()
 
 
 class TestHeadOfLineBlocking:
