@@ -28,9 +28,10 @@ Subcommands map one-to-one onto the paper's artefacts:
   ``--lifecycle-poll-s`` runs the same loop in-process.
 * ``export`` — dump the raw loop data in the release format.
 * ``cache`` — inspect or prune the measurement cache (stats/gc/clear).
-* ``bench`` — time the measure/label/select/serve stages against the
-  reference implementations, write a ``BENCH_<date>.json`` perf report,
-  and exit 1 if it breaks a correctness invariant.
+* ``bench`` — time the serve daemon (per-request vs batched, with a hot
+  reload) and the multi-process tier over real sockets, write a
+  ``BENCH_<date>.json`` perf report, and exit 1 if it breaks a
+  correctness invariant.
 
 Measurement fans out over ``--jobs`` worker processes (or ``$REPRO_JOBS``);
 results are bit-identical to a serial run at any parallelism.
@@ -452,6 +453,9 @@ def cmd_serve(args) -> int:
                 poller.stop()
         print(daemon.gateway.counters.summary(), file=sys.stderr)
         return 0
+    if args.workers is not None:
+        print("--workers counts daemon processes and needs --listen")
+        return 2
     try:
         loaded = load_serving_artifact(args.model, store=ArtifactStore())
     except FileNotFoundError:
@@ -475,7 +479,6 @@ def cmd_serve(args) -> int:
         if args.input:
             source.close()
     config = GatewayConfig(
-        max_workers=args.workers if args.workers is not None else 4,
         queue_limit=args.queue_limit,
         deadline_s=args.deadline_ms / 1e3 if args.deadline_ms else None,
     )
@@ -846,17 +849,16 @@ def cmd_suite_stats(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Time measure/label/select against the reference implementations,
-    write the BENCH_<date>.json perf report, and exit 1 if the report
-    breaks any correctness invariant (:func:`repro.perf.check_report`)."""
+    """Time the serve daemon and the multi-process tier, write the
+    BENCH_<date>.json perf report, and exit 1 if the report breaks any
+    correctness invariant (:func:`repro.perf.check_report`)."""
     from repro.perf import BenchConfig, check_report, run_bench, write_report
 
     import dataclasses
 
-    config = BenchConfig.quick_config() if args.quick else BenchConfig()
+    config = dataclasses.replace(BenchConfig(), suite_seed=args.seed)
     if args.scale is not None:
         config = dataclasses.replace(config, loops_scale=args.scale)
-    config = dataclasses.replace(config, suite_seed=args.seed)
     report = run_bench(config)
     print(report.summary())
     path = write_report(report, args.out)
@@ -946,9 +948,8 @@ def main(argv=None) -> int:
         "--workers",
         type=_positive_int,
         default=None,
-        help="stdin mode: prediction threads for the batch (default: 4); "
-        "--listen mode: independent daemon processes sharing the port via "
-        "SO_REUSEPORT, or a round-robin balancer where unavailable "
+        help="--listen mode only: independent daemon processes sharing the "
+        "port via SO_REUSEPORT, or a round-robin balancer where unavailable "
         "(default: 1)",
     )
     serve_parser.add_argument(
@@ -1145,14 +1146,11 @@ def main(argv=None) -> int:
     lifecycle_parser.set_defaults(handler=cmd_lifecycle)
 
     bench_parser = sub.add_parser(
-        "bench", help="time the pipeline stages and write BENCH_<date>.json"
+        "bench", help="time the serve tier and write BENCH_<date>.json"
     )
     bench_parser.add_argument("--seed", type=int, default=20050320, help="suite root seed")
     bench_parser.add_argument(
         "--scale", type=float, default=None, help="override the bench suite scale"
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true", help="CI-smoke sizing (small suite and subsample)"
     )
     bench_parser.add_argument(
         "--out", default=".", help="directory for the BENCH_<date>.json report"

@@ -1,10 +1,10 @@
-"""Performance benchmarking: the measure -> label -> select trajectory.
+"""Performance benchmarking: the serve tier's timing gates.
 
-``repro-unroll bench`` times the pipeline's expensive stages twice — once
-through the seed's reference implementations, once through the optimized
-engines — and emits a ``BENCH_<date>.json`` report so every PR leaves a
-perf data point behind.  :func:`check_report` holds the report's
-correctness invariants, written down once.
+``repro-unroll bench`` drives the serve daemon and the multi-process tier
+over real sockets and emits a ``BENCH_<date>.json`` report whose
+``batched_speedup`` and worker ``scaling`` CI gates on.
+:func:`check_report` holds the report's correctness invariants, written
+down once.
 """
 
 from repro.perf.bench import (

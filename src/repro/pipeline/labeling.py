@@ -72,9 +72,9 @@ class LabelingConfig:
 
     ``engine`` selects the cost-model implementation: ``"incremental"``
     (the production engine) or ``"reference"`` (the from-scratch oracle
-    the equivalence tests and ``repro bench`` compare it against).  The two
-    are bit-identical, so ``engine`` does not participate in the
-    measurement cache key.
+    the equivalence tests and the benchmark's output check compare it
+    against).  The two are bit-identical, so ``engine`` does not
+    participate in the measurement cache key.
     """
 
     seed: int = 20050320

@@ -21,8 +21,7 @@ Two implementations coexist.  The public entry points run on
 fly when the caller does not supply one) and avoid all per-query enum
 hashing and IR attribute chains in the hot placement loop.  The original
 table-free code is retained verbatim as ``*_reference`` functions: the
-equivalence tests assert the two produce bit-identical schedules, and
-``repro-unroll bench`` uses the reference path as its honest baseline.
+equivalence tests assert the two produce bit-identical schedules.
 """
 
 from __future__ import annotations
@@ -423,8 +422,7 @@ def _try_ii_tables(pre: SchedPrecomp, ii: int, budget: int):
 # ----------------------------------------------------------------------
 # Reference implementation (pre-SchedPrecomp, retained verbatim).
 #
-# The equivalence tests assert `modulo_schedule` matches this bit for bit,
-# and `repro-unroll bench` runs it as the baseline labeling engine.
+# The equivalence tests assert `modulo_schedule` matches this bit for bit.
 # ----------------------------------------------------------------------
 
 

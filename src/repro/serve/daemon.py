@@ -304,11 +304,6 @@ class ServeDaemon:
     :class:`BackgroundDaemon` / :meth:`run` which own a loop for you.
     """
 
-    #: Gateway pool threads.  Batches are GIL-bound NumPy work, so one
-    #: thread keeps compute off the event loop and a second would only
-    #: contend for the same interpreter; scale with worker processes.
-    COMPUTE_THREADS = 1
-
     def __init__(
         self,
         model_path: str | Path,
@@ -325,7 +320,6 @@ class ServeDaemon:
         self.gateway = ServeGateway(
             PredictionEngine(self.loaded.artifact, classifier=self.config.classifier),
             GatewayConfig(
-                max_workers=self.COMPUTE_THREADS,
                 queue_limit=self.config.queue_limit,
                 deadline_s=self.config.deadline_s,
             ),

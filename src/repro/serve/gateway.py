@@ -29,8 +29,10 @@ Execution is *batched*: admission (:meth:`ServeGateway.admit`) hands back
 a token whose future resolves to the response, and
 :meth:`ServeGateway.execute_batch` runs any number of admitted tokens as
 **one** engine call (``PredictionEngine.handle_batch``, which stacks
-feature requests into a single vectorized prediction) on a pool of
-``max_workers`` threads.  The gateway holds one engine;
+feature requests into a single vectorized prediction) on one pool
+thread: batches are GIL-bound NumPy work, so a second thread would only
+contend for the same interpreter (scale with daemon processes instead).
+The gateway holds one engine;
 :meth:`ServeGateway.swap_engine` atomically replaces it between batches
 (a batch already handed to the pool finishes on the engine it started
 with), which is what makes the daemon's hot artifact reload a
@@ -51,7 +53,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.resilience.faults import get_injector
 from repro.serve.engine import (
@@ -68,13 +70,10 @@ from repro.serve.engine import (
 class GatewayConfig:
     """Admission-control knobs for one :class:`ServeGateway`."""
 
-    max_workers: int = 4
     queue_limit: int = 64
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         if self.queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.deadline_s is not None and self.deadline_s <= 0:
@@ -175,7 +174,7 @@ class ServeGateway:
         self._pending = 0
         self._client_pending: dict[str, int] = {}
         self._draining = False
-        self._pool = ThreadPoolExecutor(max_workers=self.config.max_workers)
+        self._pool = ThreadPoolExecutor(max_workers=1)
 
     def swap_engine(self, engine: PredictionEngine) -> None:
         """Atomically replace the engine (hot artifact reload).
@@ -309,26 +308,22 @@ class ServeGateway:
 
         Submissions are throttled so the batch never trips admission
         control against itself: at most ``queue_limit`` of its requests are
-        in flight at once, and the next submission waits for *any* — not
-        the oldest — outstanding one to finish, so one slow request cannot
-        idle the window while its neighbours' slots sit free.  The queue
-        bound thus protects concurrent :meth:`submit` callers from *each
-        other*, while a batch of any size is served completely — an
-        ``overloaded`` slot here means genuine contention (another client,
-        or a draining gateway), never batch length.
+        in flight at once, and each submission past that bound first waits
+        for the request ``queue_limit`` places before it — the oldest in
+        flight, and the next to finish, since the one pool thread runs
+        batches in submission order.  The queue bound thus protects
+        concurrent :meth:`submit` callers from *each other*, while a batch
+        of any size is served completely — an ``overloaded`` slot here
+        means genuine contention (another client, or a draining gateway),
+        never batch length.
         """
-        requests = list(requests)
-        responses: list[dict | None] = [None] * len(requests)
-        in_flight: dict["Future[dict]", int] = {}
+        limit = self.config.queue_limit
+        futures: list["Future[dict]"] = []
         for index, request in enumerate(requests):
-            while len(in_flight) >= self.config.queue_limit:
-                done, _ = wait(tuple(in_flight), return_when=FIRST_COMPLETED)
-                for future in done:
-                    responses[in_flight.pop(future)] = future.result()
-            in_flight[self.submit(request)] = index
-        for future, index in in_flight.items():
-            responses[index] = future.result()
-        return responses
+            if index >= limit:
+                futures[index - limit].result()
+            futures.append(self.submit(request))
+        return [future.result() for future in futures]
 
     def serve_lines(self, lines) -> list[dict]:
         """The JSON-lines protocol through the gateway's admission control."""

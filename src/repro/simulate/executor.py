@@ -57,7 +57,7 @@ verification (and the ``analysis.poison`` fault) behave identically.
 ``engine="reference"`` bypasses the cache, the cross-factor reuse, and the
 table-driven schedulers, running the original single-stage path
 (:func:`optimize_for_factor` plus from-scratch analysis per query) — the
-oracle the equivalence tests and ``repro-unroll bench`` pin the
+oracle the equivalence tests and the benchmark's output check pin the
 incremental engine to.
 """
 

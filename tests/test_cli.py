@@ -231,7 +231,7 @@ class TestServeCommand:
         monkeypatch.setattr(
             "sys.stdin", io.StringIO(json.dumps({"id": 5, "source": VALID_LOOP}))
         )
-        assert main(["serve", "--model", str(model_path), "--workers", "1"]) == 0
+        assert main(["serve", "--model", str(model_path)]) == 0
         [response] = [
             json.loads(line) for line in capsys.readouterr().out.splitlines()
         ]
@@ -254,10 +254,16 @@ class TestServeGatewayFlags:
 
     def test_gateway_knobs_and_counters_line(self, model_path, tmp_path, capsys):
         lines = [json.dumps({"id": 0, "source": VALID_LOOP})]
-        extra = ["--queue-limit", "8", "--deadline-ms", "5000", "--workers", "2"]
+        extra = ["--queue-limit", "8", "--deadline-ms", "5000"]
         assert self._serve(model_path, tmp_path, lines, extra) == 0
         captured = capsys.readouterr()
         assert "gateway: 1 admitted, 1 ok" in captured.err
+
+    def test_workers_without_listen_is_rejected(self, model_path, tmp_path, capsys):
+        lines = [json.dumps({"id": 0, "source": VALID_LOOP})]
+        assert self._serve(model_path, tmp_path, lines, ["--workers", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "--workers counts daemon processes and needs --listen\n"
 
     def test_fault_plan_hook_reaches_the_engine(self, model_path, tmp_path, capsys):
         from repro.resilience import install_fault_plan

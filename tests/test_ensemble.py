@@ -207,6 +207,7 @@ class TestRegistryRoundTrip:
         )
 
     def test_artifact_round_trip_every_family(self, artifact, dataset, tmp_path):
+        assert set(artifact.families) == set(ALL_CLASSIFIERS)
         loaded = load_artifact(artifact.save(tmp_path / "ens.rma"))
         for name in artifact.families:
             np.testing.assert_array_equal(

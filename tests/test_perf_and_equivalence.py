@@ -275,18 +275,18 @@ class TestGreedyEngineEquivalence:
 class TestBenchReport:
     def _report(self):
         timing = StageTiming(
-            stage="measure",
+            stage="daemon",
             reference_seconds=2.0,
             optimized_seconds=0.5,
-            detail={"n_loops": 3},
+            detail={"n_requests": 384},
         )
         return BenchReport(config=BenchConfig(), date="2026-08-07", stages=(timing,))
 
     def test_speedup(self):
-        assert self._report().stage("measure").speedup == pytest.approx(4.0)
+        assert self._report().stage("daemon").speedup == pytest.approx(4.0)
 
     def test_zero_optimized_time_is_infinite_speedup(self):
-        timing = StageTiming("label", 1.0, 0.0, {})
+        timing = StageTiming("multiproc", 1.0, 0.0, {})
         assert timing.speedup == float("inf")
 
     def test_json_schema(self):
@@ -312,48 +312,62 @@ class TestBenchReport:
 
     def test_unknown_stage_raises(self):
         with pytest.raises(KeyError):
-            self._report().stage("deploy")
+            self._report().stage("measure")
 
     def test_write_report_round_trips(self, tmp_path):
         path = write_report(self._report(), tmp_path)
         assert path.name == "BENCH_2026-08-07.json"
         payload = json.loads(path.read_text())
-        assert payload["stages"][0]["stage"] == "measure"
-
-    def test_quick_config_is_smaller(self):
-        quick = BenchConfig.quick_config()
-        full = BenchConfig()
-        assert quick.quick and not full.quick
-        assert quick.loops_scale < full.loops_scale
-        assert quick.subsample < full.subsample
+        assert payload["stages"][0]["stage"] == "daemon"
 
     def test_summary_mentions_every_stage(self):
         summary = self._report().summary()
-        assert "measure" in summary and "speedup" in summary
+        assert "daemon" in summary and "speedup" in summary
 
-    def test_check_report_flags_every_broken_invariant(self):
-        report = {
+    @staticmethod
+    def _sound_report():
+        return {
             "stages": [
-                {"stage": "measure", "detail": {"picks_match": True}},
                 {"stage": "daemon", "detail": {
                     "predictions_match": True,
                     "reload": {"reloaded": True, "counters_balanced": True,
-                               "responses_dropped": 3},
+                               "responses_dropped": 0},
                 }},
                 {"stage": "multiproc", "detail": {
-                    "predictions_match": True, "balanced": False,
-                    "worker_counts": [1, 2], "runs": {"1": {}},
+                    "predictions_match": True, "balanced": True, "cpus": 2,
+                    "worker_counts": [1, 2], "runs": {"1": {}, "2": {}},
                 }},
             ]
         }
-        failures = check_report(report)
-        assert "measure" not in " ".join(failures)
-        assert "daemon: reload dropped responses" in failures
-        assert "multiproc: balanced is False, not True" in failures
-        assert "multiproc: runs do not match worker_counts" in failures
-        assert "multiproc: cpus not recorded" in failures
-        for stage in ("select", "serve", "families", "lifecycle"):
-            assert f"{stage}: stage missing" in failures
+
+    def test_check_report_flags_every_broken_invariant(self):
+        # Only the daemon and multiproc stages are required.
+        assert check_report(self._sound_report()) == []
+        reload = {"reloaded": True, "counters_balanced": True, "responses_dropped": 0}
+        breaks = [
+            ("daemon", "predictions_match", False,
+             "daemon: predictions_match is False, not True"),
+            ("daemon", "reload", {**reload, "reloaded": False},
+             "daemon: hot reload did not happen"),
+            ("daemon", "reload", {**reload, "responses_dropped": 3},
+             "daemon: reload dropped responses"),
+            ("daemon", "reload", {**reload, "counters_balanced": False},
+             "daemon: counters did not balance after reload"),
+            ("multiproc", "predictions_match", None,
+             "multiproc: predictions_match is None, not True"),
+            ("multiproc", "balanced", False, "multiproc: balanced is False, not True"),
+            ("multiproc", "runs", {"1": {}}, "multiproc: runs do not match worker_counts"),
+            ("multiproc", "cpus", 0, "multiproc: cpus not recorded"),
+        ]
+        for stage, field, value, message in breaks:
+            report = self._sound_report()
+            stages = {s["stage"]: s["detail"] for s in report["stages"]}
+            stages[stage][field] = value
+            assert check_report(report) == [message]
+        for stage in ("daemon", "multiproc"):
+            report = self._sound_report()
+            report["stages"] = [s for s in report["stages"] if s["stage"] != stage]
+            assert f"{stage}: stage missing" in check_report(report)
 
 
 class TestCheckedInReport:
@@ -379,5 +393,5 @@ class TestCheckedInReport:
     def test_latest_report_has_multiproc_stage(self):
         assert self._failures("multiproc") == []
 
-    def test_latest_report_has_lifecycle_stage(self):
-        assert self._failures("lifecycle") == []
+    def test_latest_report_has_daemon_stage(self):
+        assert self._failures("daemon") == []

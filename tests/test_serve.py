@@ -172,12 +172,13 @@ class TestBatching:
         return batch
 
     def test_concurrent_matches_serial_in_order(self, engine, dataset):
+        # The gateway's pool thread runs while serve_batch keeps submitting
+        # (throttled at queue_limit 4); its answers must be the engine's
+        # own serial answers, in request order.
         batch = self._mixed_batch(dataset)
-        with ServeGateway(engine, GatewayConfig(max_workers=1)) as gateway:
-            serial = gateway.serve_batch(batch)
-        with ServeGateway(engine, GatewayConfig(max_workers=4)) as gateway:
+        serial = [engine.handle(request) for request in batch]
+        with ServeGateway(engine, GatewayConfig(queue_limit=4)) as gateway:
             concurrent = gateway.serve_batch(batch)
-        assert [r["id"] for r in serial] == list(range(len(batch)))
         assert [r["id"] for r in concurrent] == list(range(len(batch)))
         for a, b in zip(serial, concurrent):
             assert a["ok"] == b["ok"]
@@ -189,7 +190,7 @@ class TestBatching:
             {"id": 1, "source": "loop broken\nend"},
             {"id": 2, "features": _features(dataset, 1)},
         ]
-        with ServeGateway(engine, GatewayConfig(max_workers=2)) as gateway:
+        with ServeGateway(engine) as gateway:
             responses = gateway.serve_batch(batch)
         assert [r["ok"] for r in responses] == [True, False, True]
 
@@ -197,7 +198,7 @@ class TestBatching:
         rollup = MeasurementRollup()
         engine = PredictionEngine(artifact, rollup=rollup)
         batch = self._mixed_batch(dataset, n=9)
-        with ServeGateway(engine, GatewayConfig(max_workers=3)) as gateway:
+        with ServeGateway(engine, GatewayConfig(queue_limit=3)) as gateway:
             gateway.serve_batch(batch)
         assert rollup.n_units == 9
         pcts = rollup.latency_percentiles()
@@ -294,8 +295,6 @@ class TestInternalErrorPath:
 
 class TestGateway:
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            GatewayConfig(max_workers=0)
         with pytest.raises(ValueError, match="queue_limit"):
             GatewayConfig(queue_limit=0)
         with pytest.raises(ValueError, match="deadline_s"):
@@ -323,10 +322,10 @@ class TestGateway:
         assert gateway.counters.served_error == 1
 
     def test_full_queue_rejects_with_backpressure(self, engine, dataset):
-        # One worker, queue bound 1: while the injected 0.5s request holds
-        # the only slot, the next submit must be rejected *immediately*.
+        # Queue bound 1: while the injected 0.5s request holds the only
+        # slot, the next submit must be rejected *immediately*.
         plan = FaultPlan(rules=(FaultRule(op="serve.delay", match="0", delay_s=0.5),))
-        config = GatewayConfig(max_workers=1, queue_limit=1)
+        config = GatewayConfig(queue_limit=1)
         with fault_plan(plan):
             gateway = ServeGateway(engine, config)
             slow = gateway.submit({"id": 0, "features": _features(dataset)})
@@ -344,7 +343,7 @@ class TestGateway:
         # serve_batch throttles itself below the queue bound, so a batch
         # of any size never trips admission control against its own
         # requests — no slot may come back 'overloaded'.
-        config = GatewayConfig(max_workers=2, queue_limit=2)
+        config = GatewayConfig(queue_limit=2)
         batch = [{"id": i, "features": _features(dataset)} for i in range(9)]
         with ServeGateway(engine, config) as gateway:
             responses = gateway.serve_batch(batch)
@@ -371,7 +370,7 @@ class TestGateway:
         # Request 0 overruns its deadline *while computing*; request 1
         # exceeds it *waiting* behind 0 and must never reach the engine.
         plan = FaultPlan(rules=(FaultRule(op="serve.delay", match="0", delay_s=0.5),))
-        config = GatewayConfig(max_workers=1, queue_limit=8, deadline_s=0.2)
+        config = GatewayConfig(queue_limit=8, deadline_s=0.2)
         with fault_plan(plan):
             with ServeGateway(engine, config) as gateway:
                 first = gateway.submit({"id": 0, "features": _features(dataset)})
@@ -628,7 +627,7 @@ class TestGatewayBatchedExecution:
 
         old = GatedEngine(artifact, classifier="svm")
         new = PredictionEngine(artifact, classifier="nn")
-        with ServeGateway(old, GatewayConfig(max_workers=1)) as gateway:
+        with ServeGateway(old) as gateway:
             in_flight = gateway.submit({"id": 0, "features": _features(dataset)})
             assert started.wait(5.0)
             gateway.swap_engine(new)
@@ -641,30 +640,6 @@ class TestGatewayBatchedExecution:
         assert gateway.counters.balanced()
 
 
-class TestHeadOfLineBlocking:
-    def test_slow_request_does_not_idle_the_window(self, engine, dataset):
-        # Regression: serve_batch used to wait on the *oldest* in-flight
-        # future before submitting more.  With ids 0 and 2 slowed, the old
-        # code serialized the two 0.4s sleeps (>= 0.8s wall); waiting on
-        # *any* completion lets them overlap on the two workers (~0.4s).
-        plan = FaultPlan(
-            rules=(
-                FaultRule(op="serve.delay", match="0", delay_s=0.4),
-                FaultRule(op="serve.delay", match="2", delay_s=0.4),
-            )
-        )
-        config = GatewayConfig(max_workers=2, queue_limit=2)
-        batch = [{"id": i, "features": _features(dataset)} for i in range(4)]
-        with fault_plan(plan):
-            with ServeGateway(engine, config) as gateway:
-                start = time.perf_counter()
-                responses = gateway.serve_batch(batch)
-                wall = time.perf_counter() - start
-        assert all(r["ok"] for r in responses)
-        assert [r["id"] for r in responses] == [0, 1, 2, 3]
-        assert wall < 0.75, f"head-of-line blocking: batch took {wall:.3f}s"
-
-
 class TestMultiClientFairness:
     def test_flooder_cannot_starve_a_second_client(self, engine, dataset):
         # Every request sleeps 0.3s, so admissions stay pending while both
@@ -674,7 +649,7 @@ class TestMultiClientFairness:
         plan = FaultPlan(
             rules=(FaultRule(op="serve.delay", match="*", times=0, delay_s=0.3),)
         )
-        config = GatewayConfig(max_workers=2, queue_limit=8)
+        config = GatewayConfig(queue_limit=8)
         with fault_plan(plan):
             gateway = ServeGateway(engine, config)
             futures = {"a": [], "b": []}
@@ -716,7 +691,7 @@ class TestMultiClientFairness:
 
     def test_untagged_requests_skip_fairness(self, engine, dataset):
         # No client identity -> only the global queue bound applies.
-        config = GatewayConfig(max_workers=2, queue_limit=4)
+        config = GatewayConfig(queue_limit=4)
         with ServeGateway(engine, config) as gateway:
             responses = gateway.serve_batch(
                 [{"id": i, "features": _features(dataset)} for i in range(8)]
