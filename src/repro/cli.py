@@ -499,7 +499,7 @@ def cmd_serve(args) -> int:
 
 def _serve_cluster(args, host, port, workers, config) -> int:
     """The ``--listen --workers N`` path: supervise N shared-nothing
-    daemon processes on one port (reuseport sharding, balancer fallback)."""
+    daemon processes on one port, sharded by the kernel (``SO_REUSEPORT``)."""
     from repro.registry import ArtifactError, ArtifactStore
     from repro.serve import (
         ClusterConfig,
@@ -949,8 +949,7 @@ def main(argv=None) -> int:
         type=_positive_int,
         default=None,
         help="--listen mode only: independent daemon processes sharing the "
-        "port via SO_REUSEPORT, or a round-robin balancer where unavailable "
-        "(default: 1)",
+        "port via SO_REUSEPORT (default: 1)",
     )
     serve_parser.add_argument(
         "--request-log",

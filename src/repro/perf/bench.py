@@ -54,11 +54,10 @@ import numpy as np
 #: v6: added the ``multiproc`` stage (the multi-process serve tier driven
 #: over real sockets at each worker count in ``multiproc_workers``:
 #: per-count wall/throughput/p95/p99, throughput scaling relative to one
-#: worker, the sharding mode actually used, ``cpus`` — scaling is
-#: physically bounded by the cores available — a cross-worker-count
-#: ``predictions_match`` differential, and aggregated-healthz counter
-#: balance after each run) plus its ``multiproc_*`` sizing knobs in
-#: ``config``.
+#: worker, ``cpus`` — scaling is physically bounded by the cores
+#: available — a cross-worker-count ``predictions_match`` differential,
+#: and aggregated-healthz counter balance after each run) plus its
+#: ``multiproc_*`` sizing knobs in ``config``.
 #: v7: added the ``lifecycle`` stage (the closed serve→train→promote
 #: loop's hot paths: drift-scanning a synthetic request log row-at-a-time
 #: as the reference side vs one vectorized ``scan_drift`` replay as the
@@ -79,7 +78,9 @@ import numpy as np
 #: v10: removed the ``measure``, ``label``, ``select``, ``serve``,
 #: ``families`` and ``lifecycle`` stages and their sizing knobs; tier-1
 #: tests hold their invariants.  The bench keeps the two stages its
-#: CI timing gates read.
+#: CI timing gates read.  The ``multiproc`` detail no longer names a
+#: sharding mode (``SO_REUSEPORT`` is the only one); ``check_report``
+#: never read it, so the version stands.
 BENCH_SCHEMA_VERSION = 10
 
 
@@ -339,8 +340,7 @@ def _bench_multiproc(dataset, artifact, config: BenchConfig) -> StageTiming:
     """Time the multi-process serve tier at each worker count over real
     sockets: the same concurrent pipelining clients as the ``daemon``
     stage, against a full :class:`~repro.serve.ServeCluster` (supervisor,
-    ``SO_REUSEPORT`` sharding or the balancer fallback, per-worker
-    adaptive batch windows).
+    ``SO_REUSEPORT`` sharding, per-worker adaptive batch windows).
 
     Reference: ``workers=1`` (one process — PR 7's daemon with a
     supervisor in front).  Optimized: the largest worker count.  The
@@ -375,7 +375,6 @@ def _bench_multiproc(dataset, artifact, config: BenchConfig) -> StageTiming:
 
     runs: dict[int, dict] = {}
     factors: dict[int, dict] = {}
-    mode = None
     with tempfile.TemporaryDirectory() as tmp:
         store_root = Path(tmp)
         store = ArtifactStore(store_root)
@@ -384,7 +383,6 @@ def _bench_multiproc(dataset, artifact, config: BenchConfig) -> StageTiming:
             daemon_config = DaemonConfig(queue_limit=queue_limit)
             cluster_config = ClusterConfig(workers=workers, daemon=daemon_config)
             with ServeCluster(path, cluster_config, store_root=store_root) as cluster:
-                mode = cluster.mode
                 # Warm every worker (artifact deserialization, first-call
                 # numpy paths) before the timed run.
                 _daemon_traffic(cluster.address, warmup_config, rows)
@@ -423,7 +421,6 @@ def _bench_multiproc(dataset, artifact, config: BenchConfig) -> StageTiming:
             "n_requests": n_requests,
             "worker_counts": list(counts),
             "cpus": cpus,
-            "mode": mode,
             "runs": {str(w): runs[w] for w in counts},
             "scaling": {
                 str(w): round(runs[w]["throughput_rps"] / base_rps, 3)

@@ -19,10 +19,9 @@ into vectorized batches for its one engine on one compute thread,
 hot-reloads newer registry artifacts with zero downtime, and answers
 ``healthz`` probes.  :class:`ServeCluster`
 multiplies that daemon across N shared-nothing worker *processes* on one
-port (``--workers``, the serve tier's one concurrency knob) —
-``SO_REUSEPORT`` kernel sharding where available, a round-robin asyncio
-balancer elsewhere — with crash restarts, drain fan-out, and
-aggregated cluster health.  :class:`RequestLog` records every served
+port (``--workers``, the serve tier's one concurrency knob) through
+``SO_REUSEPORT`` kernel sharding, with crash restarts, drain fan-out,
+and aggregated cluster health.  :class:`RequestLog` records every served
 prediction as append-mode JSON lines, off the hot path.
 """
 
@@ -54,11 +53,9 @@ from repro.serve.gateway import (
 )
 from repro.serve.loader import LoadedArtifact, load_serving_artifact
 from repro.serve.multiproc import (
-    NO_REUSEPORT_ENV,
     ClusterConfig,
     ServeCluster,
     WorkerStartupError,
-    reuseport_available,
 )
 from repro.serve.requestlog import (
     RequestLog,
@@ -77,7 +74,6 @@ __all__ = [
     "ERROR_OVERLOADED",
     "ERROR_REQUEST_TOO_LARGE",
     "ERROR_UNPARSEABLE_LOOP",
-    "NO_REUSEPORT_ENV",
     "BackgroundDaemon",
     "BatchStats",
     "ClusterConfig",
@@ -100,5 +96,4 @@ __all__ = [
     "probe_healthz",
     "read_request_log",
     "request_log_segments",
-    "reuseport_available",
 ]

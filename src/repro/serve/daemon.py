@@ -97,14 +97,15 @@ class DaemonConfig:
     ``port=0`` binds an ephemeral port (the bound address is on
     :attr:`ServeDaemon.address` after start).
 
-    The multi-process tier's knobs: ``reuse_port`` binds the listen
-    socket with ``SO_REUSEPORT`` so sibling worker processes can share
-    one port (the kernel shards connections); ``bind_control`` opens a
-    second, ephemeral listener speaking the same protocol — the
-    supervisor's direct line to one worker for health probes and peer
-    updates regardless of where the kernel routes public connections
-    (``cluster_peers`` updates are accepted only there);
-    ``worker_id`` tags healthz and request-log records; ``request_log``
+    ``worker_id`` makes the daemon one worker of a
+    :class:`~repro.serve.multiproc.ServeCluster`: it tags healthz and
+    request-log records, binds the listen socket with ``SO_REUSEPORT``
+    so sibling worker processes share one port (the kernel shards
+    connections), and opens a second, ephemeral *control* listener
+    speaking the same protocol — the supervisor's direct line to one
+    worker for health probes and peer updates regardless of where the
+    kernel routes public connections (``cluster_peers`` updates are
+    accepted only there).  ``request_log``
     appends one JSON line per answered request, written once the
     response's socket write has succeeded or failed (see
     :mod:`repro.serve.requestlog`).
@@ -118,8 +119,6 @@ class DaemonConfig:
     deadline_s: float | None = None
     reload_poll_s: float | None = None
     classifier: str = "svm"
-    reuse_port: bool = False
-    bind_control: bool = False
     worker_id: int | None = None
     request_log: str | None = None
     request_log_max_bytes: int | None = None
@@ -363,27 +362,28 @@ class ServeDaemon:
     async def start(self) -> None:
         """Bind the socket(s) and start the batch loop (and watcher, if any).
 
-        With ``reuse_port`` the public listener joins an ``SO_REUSEPORT``
-        group — sibling worker processes bind the same ``host:port`` and
-        the kernel shards incoming connections across them.  With
-        ``bind_control`` a second, always-ephemeral listener serves the
-        same protocol for direct per-worker probes, plus the
+        A cluster worker (``worker_id`` set) joins an ``SO_REUSEPORT``
+        group with its public listener — sibling worker processes bind
+        the same ``host:port`` and the kernel shards incoming connections
+        across them — and binds a second, always-ephemeral listener that
+        serves the same protocol for direct per-worker probes, plus the
         ``cluster_peers`` control message.
         """
         self._queue = asyncio.Queue()
         self._batch_task = asyncio.ensure_future(self._batch_loop())
         if self.config.reload_poll_s is not None:
             self._watch_task = asyncio.ensure_future(self._watch_registry())
+        in_cluster = self.config.worker_id is not None
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.config.host,
             self.config.port,
-            reuse_port=self.config.reuse_port or None,
+            reuse_port=in_cluster or None,
             limit=MAX_REQUEST_BYTES,
         )
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
-        if self.config.bind_control:
+        if in_cluster:
             self._control_server = await asyncio.start_server(
                 functools.partial(self._handle_connection, control=True),
                 self.config.host,

@@ -9,30 +9,23 @@ production Python services do — by not sharing anything.  ``repro serve
 *supervisor* process that forks N completely independent
 :class:`~repro.serve.daemon.ServeDaemon` worker processes, each with its
 own interpreter, its own loaded artifact and engine, batch loop, window
-controller, and hot-reload watcher.  Two sharding modes, chosen
-automatically:
+controller, and hot-reload watcher.
 
-* **``reuseport``** (Linux and modern BSDs): every worker binds the same
-  ``host:port`` with ``SO_REUSEPORT`` and the *kernel* shards incoming
-  connections across the listening sockets — no user-space balancer, no
-  shared accept lock, no extra hop.  The supervisor holds a bound (never
-  listening) reservation socket in the same group so ``port 0`` resolves
-  to one concrete port before any worker starts, and the port stays
-  owned across worker restarts.
-* **``balancer``** (fallback — macOS semantics, old kernels, or forced
-  with ``REPRO_NO_REUSEPORT=1``): workers bind ephemeral ports and the
-  supervisor runs a tiny asyncio front-end on the public port that deals
-  accepted connections round-robin over the live workers and pumps bytes
-  both ways.  A worker that refuses a connection (just crashed, not yet
-  restarted) is skipped — the dealer retries the next worker, so a
-  single death never surfaces as a refused public connection.
+Every worker binds the same ``host:port`` with ``SO_REUSEPORT`` and the
+*kernel* shards incoming connections across the listening sockets — no
+user-space proxy, no shared accept lock, no extra hop.  The supervisor
+holds a bound (never listening) reservation socket in the same group so
+``port 0`` resolves to one concrete port before any worker starts, and
+the port stays owned across worker restarts.  Where the platform has no
+``SO_REUSEPORT``, :meth:`ServeCluster.start` refuses with
+:class:`WorkerStartupError` before spawning anything.
 
 The supervisor also owns the *lifecycle*:
 
 * **Crash restarts with backoff.**  A monitor thread watches worker
   processes; a dead worker is respawned after an exponentially growing
-  delay (reset once a worker proves stable), re-registered with the
-  balancer, and announced to its siblings.
+  delay (reset once a worker proves stable) and announced to its
+  siblings.
 * **Signal fan-out.**  SIGINT/SIGTERM to the supervisor forwards SIGTERM
   to every worker, each of which performs the daemon's drain-shaped
   shutdown (every admitted request answered); the supervisor waits for
@@ -59,7 +52,6 @@ import signal
 import socket
 import threading
 import time
-from pathlib import Path
 
 from repro.serve.daemon import (
     DaemonConfig,
@@ -68,33 +60,15 @@ from repro.serve.daemon import (
     probe_healthz,
 )
 
-#: Set (to anything non-empty except ``0``) to force the balancer mode
-#: even where ``SO_REUSEPORT`` works — the escape hatch for kernels whose
-#: reuseport sharding misbehaves, and the tests' lever for exercising the
-#: fallback path on Linux.
-NO_REUSEPORT_ENV = "REPRO_NO_REUSEPORT"
-
-
-def reuseport_available() -> bool:
-    """Whether kernel-level connection sharding can be used here.
-
-    Checks the env override first, then the constant, then performs an
-    actual bind probe — some platforms define ``SO_REUSEPORT`` and then
-    refuse it at setsockopt/bind time.
-    """
-    if os.environ.get(NO_REUSEPORT_ENV, "").strip() not in ("", "0"):
-        return False
-    if not hasattr(socket, "SO_REUSEPORT"):
-        return False
-    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        probe.bind(("127.0.0.1", 0))
-    except OSError:
-        return False
-    finally:
-        probe.close()
-    return True
+#: Restart backoff: a dead worker's first respawn waits
+#: ``RESTART_BACKOFF_S``; each consecutive failure doubles the wait up to
+#: ``RESTART_BACKOFF_MAX_S``; a worker that survives ``STABLE_AFTER_S``
+#: resets its slot to the first wait.
+RESTART_BACKOFF_S = 0.1
+RESTART_BACKOFF_MAX_S = 2.0
+STABLE_AFTER_S = 10.0
+#: How long the supervisor waits for one spawned worker to report ready.
+READY_TIMEOUT_S = 120.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,31 +76,19 @@ class ClusterConfig:
     """Tunables for one :class:`ServeCluster`.
 
     ``daemon`` is the per-worker template: its ``host``/``port``/
-    ``reuse_port``/``bind_control``/``worker_id`` fields are overridden
-    per worker; everything else (window, max_batch, queue limit,
-    deadline, reload poll, classifier, request log) applies to
-    every worker identically.  Restart backoff doubles from
-    ``restart_backoff_s`` to ``restart_backoff_max_s`` across
-    consecutive failures and resets once a worker survives
-    ``stable_after_s``.
+    ``worker_id`` fields are overridden per worker; everything else
+    (window, max_batch, queue limit, deadline, reload poll, classifier,
+    request log) applies to every worker identically.
     """
 
     workers: int = 2
     host: str = "127.0.0.1"
     port: int = 0
     daemon: DaemonConfig = dataclasses.field(default_factory=DaemonConfig)
-    restart_backoff_s: float = 0.1
-    restart_backoff_max_s: float = 2.0
-    stable_after_s: float = 10.0
-    ready_timeout_s: float = 120.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.restart_backoff_s <= 0:
-            raise ValueError(
-                f"restart_backoff_s must be positive, got {self.restart_backoff_s}"
-            )
 
 
 @dataclasses.dataclass
@@ -136,11 +98,10 @@ class WorkerHandle:
     worker_id: int
     process: multiprocessing.Process
     pid: int
-    address: tuple[str, int]
     control_address: tuple[str, int]
     started: float
+    backoff_s: float
     restarts: int = 0
-    backoff_s: float = 0.1
     restart_at: float | None = None
 
     def alive(self) -> bool:
@@ -150,9 +111,9 @@ class WorkerHandle:
 def _worker_main(model_path, config, store_root, ready):  # pragma: no cover
     """Worker-process entry point (runs in the spawned child).
 
-    Builds the daemon, binds its sockets, reports the bound addresses
-    back through ``ready``, then serves until SIGTERM/SIGINT triggers the
-    drain-shaped shutdown.  Excluded from coverage: it executes in a
+    Builds the daemon, binds its sockets, reports its pid and control
+    address back through ``ready``, then serves until SIGTERM/SIGINT
+    triggers the drain-shaped shutdown.  Excluded from coverage: it executes in a
     separate interpreter the parent's tracer cannot see.
     """
     import asyncio
@@ -177,7 +138,6 @@ def _worker_main(model_path, config, store_root, ready):  # pragma: no cover
         {
             "worker": config.worker_id,
             "pid": os.getpid(),
-            "address": list(daemon.address),
             "control": list(daemon.control_address),
         }
     )
@@ -192,157 +152,8 @@ def _worker_main(model_path, config, store_root, ready):  # pragma: no cover
 
 
 class WorkerStartupError(RuntimeError):
-    """A worker died, reported a bind failure, or missed its ready
-    deadline during spawn."""
-
-
-class _Balancer:
-    """The fallback front-end: accept on the public port, deal round-robin.
-
-    A thin byte pump — it never parses the protocol, so it adds one local
-    hop and nothing else.  Worker selection happens per *connection* (the
-    daemon protocol is connection-oriented); a refused worker is skipped
-    and the next is tried, so the rotation heals around a crashed worker
-    before the supervisor has even noticed the death.
-    """
-
-    def __init__(self, host: str, port: int, addresses):
-        self._host = host
-        self._port = port
-        self._addresses = addresses  # callable -> list[tuple[str, int]]
-        self._next = 0
-        self._loop = None
-        self._server = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._tasks: set = set()
-        self.address: tuple[str, int] | None = None
-        self.connections = 0
-        self.connect_failures = 0
-
-    # ------------------------------------------------------------------
-
-    def start(self) -> None:
-        import asyncio
-
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._serve, name="serve-balancer", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-
-    def _serve(self) -> None:
-        import asyncio
-
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._server = self._loop.run_until_complete(
-                asyncio.start_server(self._handle, self._host, self._port)
-            )
-        except BaseException as error:
-            self._startup_error = error
-            self._ready.set()
-            return
-        sockname = self._server.sockets[0].getsockname()
-        self.address = (sockname[0], sockname[1])
-        self._ready.set()
-        self._loop.run_forever()
-        # run_forever returned: cancel connections still pumping, drain
-        # pending callbacks, then close.
-        for task in tuple(self._tasks):
-            task.cancel()
-        if self._tasks:
-            self._loop.run_until_complete(
-                asyncio.gather(*tuple(self._tasks), return_exceptions=True)
-            )
-        self._loop.run_until_complete(self._loop.shutdown_asyncgens())
-        self._loop.close()
-
-    async def _handle(self, reader, writer) -> None:
-        import asyncio
-        import contextlib
-
-        # The loop holds only weak task references: anchor the handler so
-        # a suspended connection pump cannot be garbage-collected alive.
-        task = asyncio.current_task()
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        upstream = None
-        addresses = list(self._addresses())
-        offset = self._next
-        self._next += 1
-        for attempt in range(len(addresses)):
-            target = addresses[(offset + attempt) % len(addresses)]
-            try:
-                upstream = await asyncio.open_connection(*target)
-                break
-            except OSError:
-                # Worker down (crashed, restarting): deal to the next one.
-                self.connect_failures += 1
-                continue
-        if upstream is None:
-            # No live worker at all: refuse by closing — the client sees
-            # a transport error, exactly as with no daemon bound.
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
-            return
-        self.connections += 1
-        up_reader, up_writer = upstream
-        try:
-            await asyncio.gather(
-                self._pump(reader, up_writer),
-                self._pump(up_reader, writer),
-                return_exceptions=True,
-            )
-        except asyncio.CancelledError:
-            # Balancer shutdown cancelled a still-pumping connection:
-            # just drop both ends below.
-            pass
-        for stream in (up_writer, writer):
-            with contextlib.suppress(ConnectionError, OSError):
-                stream.close()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await stream.wait_closed()
-
-    @staticmethod
-    async def _pump(reader, writer) -> None:
-        import contextlib
-
-        try:
-            while True:
-                data = await reader.read(1 << 16)
-                if not data:
-                    break
-                writer.write(data)
-                await writer.drain()
-            # Forward the half-close so a worker sees client EOF (and vice
-            # versa) instead of a wedged-open stream.
-            if writer.can_write_eof():
-                with contextlib.suppress(OSError):
-                    writer.write_eof()
-        except (ConnectionError, OSError):
-            pass
-
-    # ------------------------------------------------------------------
-
-    def stop_accepting(self) -> None:
-        """Close the public listener; connections already dealt keep
-        pumping (the drain path: workers still answer them)."""
-        if self._loop is None or self._server is None:
-            return
-        self._loop.call_soon_threadsafe(self._server.close)
-
-    def stop(self) -> None:
-        if self._loop is not None and self._startup_error is None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join()
+    """The platform lacks ``SO_REUSEPORT``, or a worker died, reported a
+    bind failure, or missed its ready deadline during spawn."""
 
 
 class ServeCluster:
@@ -363,11 +174,9 @@ class ServeCluster:
         self._model_path = str(model_path)
         self._store_root = str(store_root) if store_root is not None else None
         self._ctx = multiprocessing.get_context("spawn")
-        self.mode: str | None = None
         self.address: tuple[str, int] | None = None
         self.restarts = 0
         self._reservation: socket.socket | None = None
-        self._balancer: _Balancer | None = None
         self._workers: list[WorkerHandle] = []
         self._lock = threading.Lock()
         self._stopping = threading.Event()
@@ -381,44 +190,34 @@ class ServeCluster:
     # lifecycle
 
     def start(self) -> None:
-        """Choose the sharding mode, spawn every worker, start the
-        balancer (if needed) and the restart monitor."""
+        """Reserve the port, spawn every worker, start the restart
+        monitor."""
         if self._started:
             raise RuntimeError("cluster already started")
-        self.mode = "reuseport" if reuseport_available() else "balancer"
-        host, port = self.config.host, self.config.port
-        if self.mode == "reuseport":
-            # Reserve the concrete port (resolving port 0 now) with a
-            # bound, never-listening socket in the reuseport group: the
-            # kernel only deals connections to *listening* sockets, so
-            # the reservation receives nothing but keeps the port ours
-            # across worker restarts.
-            family = socket.AF_INET6 if ":" in host else socket.AF_INET
-            self._reservation = socket.socket(family, socket.SOCK_STREAM)
-            self._reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            self._reservation.bind((host, port))
-            port = self._reservation.getsockname()[1]
-            self.address = (host, port)
-        spawning = [
-            self._spawn(worker_id, port) for worker_id in range(self.config.workers)
-        ]
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise WorkerStartupError(
+                "SO_REUSEPORT is unavailable on this platform; workers "
+                "cannot share one port"
+            )
+        host = self.config.host
+        # Reserve the concrete port (resolving port 0 now) with a bound,
+        # never-listening socket in the reuseport group: the kernel only
+        # deals connections to *listening* sockets, so the reservation
+        # receives nothing but keeps the port ours across worker restarts.
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._reservation = socket.socket(family, socket.SOCK_STREAM)
+        self._reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        self._reservation.bind((host, self.config.port))
+        self.address = (host, self._reservation.getsockname()[1])
+        spawning = [self._spawn(worker_id) for worker_id in range(self.config.workers)]
         try:
             self._workers = [self._await_ready(*pending) for pending in spawning]
         except Exception:
             for process, _ in spawning:
                 if process.is_alive():
                     process.terminate()
-            if self._reservation is not None:
-                self._reservation.close()
+            self._reservation.close()
             raise
-        if self.mode == "balancer":
-            self._balancer = _Balancer(host, port, self._worker_addresses)
-            try:
-                self._balancer.start()
-            except Exception:
-                self._signal_workers(signal.SIGTERM)
-                raise
-            self.address = self._balancer.address
         self._broadcast_peers()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="cluster-monitor", daemon=True
@@ -427,17 +226,12 @@ class ServeCluster:
         self._monitor.start()
 
     def stop(self) -> None:
-        """Drain-shaped cluster shutdown: stop restarts, stop accepting,
-        let every worker answer what it admitted, then reap them all."""
+        """Drain-shaped cluster shutdown: stop restarts, let every worker
+        answer what it admitted, then reap them all."""
         if not self._started:
             return
         self._stopping.set()
-        if self._monitor is not None:
-            self._monitor.join()
-        if self._balancer is not None:
-            # New connections refused from here on; dealt connections
-            # keep flowing to the workers until those drain.
-            self._balancer.stop_accepting()
+        self._monitor.join()
         self._signal_workers(signal.SIGTERM)
         deadline = time.monotonic() + 60.0
         for handle in self._workers:
@@ -445,10 +239,7 @@ class ServeCluster:
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=5.0)
-        if self._balancer is not None:
-            self._balancer.stop()
-        if self._reservation is not None:
-            self._reservation.close()
+        self._reservation.close()
         self._started = False
 
     def __enter__(self) -> "ServeCluster":
@@ -468,13 +259,11 @@ class ServeCluster:
             self.start()
             host, port = self.address
             self._announce(
-                f"daemon listening on {host}:{port} "
-                f"workers={self.config.workers} mode={self.mode}"
+                f"daemon listening on {host}:{port} workers={self.config.workers}"
             )
             for handle in self._workers:
                 self._announce(
-                    f"worker {handle.worker_id} pid {handle.pid} ready on "
-                    f"{handle.address[0]}:{handle.address[1]}"
+                    f"worker {handle.worker_id} pid {handle.pid} ready on {host}:{port}"
                 )
             finished.wait()
         finally:
@@ -496,7 +285,6 @@ class ServeCluster:
         merged = merge_worker_health(
             [self._probe_worker(handle) for handle in self.workers]
         )
-        merged["mode"] = self.mode
         merged["restarts"] = self.restarts
         return merged
 
@@ -504,7 +292,7 @@ class ServeCluster:
         health = self.healthz()
         gateway = health["gateway"]
         return (
-            f"cluster[{self.mode}]: {health['workers_alive']}/"
+            f"cluster: {health['workers_alive']}/"
             f"{health['cluster_size']} worker(s), {self.restarts} restart(s), "
             f"{gateway['admitted']} admitted, {gateway['served_ok']} ok, "
             f"{gateway['served_error']} error(s), "
@@ -522,23 +310,19 @@ class ServeCluster:
     # ------------------------------------------------------------------
     # spawning
 
-    def _daemon_config(self, worker_id: int, port: int) -> DaemonConfig:
+    def _daemon_config(self, worker_id: int) -> DaemonConfig:
+        host, port = self.address
         return dataclasses.replace(
-            self.config.daemon,
-            host=self.config.host,
-            port=port if self.mode == "reuseport" else 0,
-            reuse_port=self.mode == "reuseport",
-            bind_control=True,
-            worker_id=worker_id,
+            self.config.daemon, host=host, port=port, worker_id=worker_id
         )
 
-    def _spawn(self, worker_id: int, port: int):
+    def _spawn(self, worker_id: int):
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
             args=(
                 self._model_path,
-                self._daemon_config(worker_id, port),
+                self._daemon_config(worker_id),
                 self._store_root,
                 child_conn,
             ),
@@ -550,7 +334,7 @@ class ServeCluster:
         return process, parent_conn
 
     def _await_ready(self, process, conn) -> WorkerHandle:
-        deadline = time.monotonic() + self.config.ready_timeout_s
+        deadline = time.monotonic() + READY_TIMEOUT_S
         try:
             while not conn.poll(0.05):
                 if not process.is_alive():
@@ -562,7 +346,7 @@ class ServeCluster:
                     process.terminate()
                     raise WorkerStartupError(
                         f"worker process {process.pid} missed the "
-                        f"{self.config.ready_timeout_s}s ready deadline"
+                        f"{READY_TIMEOUT_S}s ready deadline"
                     )
             try:
                 info = conn.recv()
@@ -579,30 +363,17 @@ class ServeCluster:
             raise WorkerStartupError(
                 f"worker {info.get('worker')} failed to start: {info['error']}"
             )
-        address = (
-            self.address
-            if self.mode == "reuseport"
-            else (info["address"][0], info["address"][1])
-        )
         return WorkerHandle(
             worker_id=info["worker"],
             process=process,
             pid=info["pid"],
-            address=address,
             control_address=(info["control"][0], info["control"][1]),
             started=time.monotonic(),
-            backoff_s=self.config.restart_backoff_s,
+            backoff_s=RESTART_BACKOFF_S,
         )
 
     # ------------------------------------------------------------------
     # control plane
-
-    def _worker_addresses(self) -> list:
-        """Live workers' client-facing addresses (the balancer's deck)."""
-        with self._lock:
-            return [
-                handle.address for handle in self._workers if handle.alive()
-            ]
 
     def _broadcast_peers(self) -> None:
         """Tell every live worker where its siblings' control listeners
@@ -649,9 +420,9 @@ class ServeCluster:
         """Watch workers; respawn the dead after their backoff.
 
         Exponential backoff per slot (doubling to the cap on consecutive
-        failures, reset after ``stable_after_s`` of uptime) keeps a
+        failures, reset after ``STABLE_AFTER_S`` of uptime) keeps a
         crash-looping model from melting the host while a one-off kill is
-        healed in ~``restart_backoff_s``.
+        healed in ~``RESTART_BACKOFF_S``.
         """
         while not self._stopping.wait(0.05):
             now = time.monotonic()
@@ -661,15 +432,13 @@ class ServeCluster:
                 if handle.alive():
                     if (
                         handle.restart_at is None
-                        and now - handle.started > self.config.stable_after_s
-                        and handle.backoff_s != self.config.restart_backoff_s
+                        and now - handle.started > STABLE_AFTER_S
+                        and handle.backoff_s != RESTART_BACKOFF_S
                     ):
-                        handle.backoff_s = self.config.restart_backoff_s
+                        handle.backoff_s = RESTART_BACKOFF_S
                     continue
                 if handle.restart_at is None:
-                    # Just noticed the death: schedule the respawn.  The
-                    # balancer stops dealing to it via _worker_addresses
-                    # (alive() is False) the moment we get here.
+                    # Just noticed the death: schedule the respawn.
                     handle.restart_at = now + handle.backoff_s
                     self._announce(
                         f"worker {handle.worker_id} pid {handle.pid} died "
@@ -679,14 +448,11 @@ class ServeCluster:
                     continue
                 if now < handle.restart_at:
                     continue
+                next_backoff = min(RESTART_BACKOFF_MAX_S, handle.backoff_s * 2.0)
                 try:
-                    replacement = self._await_ready(
-                        *self._spawn(handle.worker_id, self.address[1])
-                    )
+                    replacement = self._await_ready(*self._spawn(handle.worker_id))
                 except WorkerStartupError as error:
-                    handle.backoff_s = min(
-                        self.config.restart_backoff_max_s, handle.backoff_s * 2.0
-                    )
+                    handle.backoff_s = next_backoff
                     handle.restart_at = time.monotonic() + handle.backoff_s
                     self._announce(
                         f"worker {handle.worker_id} restart failed ({error}); "
@@ -694,15 +460,12 @@ class ServeCluster:
                     )
                     continue
                 replacement.restarts = handle.restarts + 1
-                replacement.backoff_s = min(
-                    self.config.restart_backoff_max_s, handle.backoff_s * 2.0
-                )
+                replacement.backoff_s = next_backoff
                 with self._lock:
                     self._workers[index] = replacement
                 self.restarts += 1
                 self._announce(
                     f"worker {replacement.worker_id} pid {replacement.pid} "
-                    f"restarted on "
-                    f"{replacement.address[0]}:{replacement.address[1]}"
+                    f"restarted on {self.address[0]}:{self.address[1]}"
                 )
                 self._broadcast_peers()

@@ -383,8 +383,15 @@ class TestConnectionHardening:
         assert delivered == {"doomed": False, 1: True}
 
     def test_cluster_peers_only_on_the_control_listener(self, store):
+        """A cluster worker (``worker_id`` set) joins the ``SO_REUSEPORT``
+        group and binds a control listener; only that listener accepts
+        ``cluster_peers``.  A standalone daemon has neither."""
+        with _run(store) as standalone:
+            assert standalone.control_address is None
         peers = {"cluster_peers": [[1, "127.0.0.1", 9]]}
-        with _run(store, bind_control=True) as daemon:
+        with _run(store, worker_id=0) as daemon:
+            (listener,) = daemon._server.sockets
+            assert listener.getsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT)
             public = _Client(daemon.address)
             refused = public.ask({"id": "p", **peers})
             after_public = public.ask({"healthz": True})["healthz"]

@@ -1,17 +1,17 @@
-"""The multi-process serve tier: SO_REUSEPORT sharding, the balancer
-fallback, supervisor restarts, aggregated healthz, the adaptive batch
-window, and the served-request log.
+"""The multi-process serve tier: SO_REUSEPORT sharding, supervisor
+restarts, aggregated healthz, the adaptive batch window, and the
+served-request log.
 
 The wire-protocol tests are *inherited* from ``tests.test_daemon`` — the
 same test bodies that validate the single-process daemon run here against
-a live 2-worker cluster, once in ``reuseport`` mode (kernel connection
-sharding) and once in ``balancer`` mode (the asyncio front-end forced via
-``REPRO_NO_REUSEPORT=1``).  Cluster spin-up costs real fork/exec time, so
-the protocol suites share one module-scoped cluster per mode.
+a live 2-worker cluster whose connections the kernel shards.  Cluster
+spin-up costs real fork/exec time, so the protocol suites share one
+module-scoped cluster.
 """
 
 import os
 import signal
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -20,7 +20,6 @@ import pytest
 
 from repro.registry import ArtifactStore, train_model_artifact
 from repro.serve import (
-    NO_REUSEPORT_ENV,
     BackgroundDaemon,
     ClusterConfig,
     DaemonConfig,
@@ -33,8 +32,8 @@ from repro.serve import (
     merge_worker_health,
     probe_healthz,
     read_request_log,
-    reuseport_available,
 )
+from repro.serve import multiproc
 
 from tests import test_daemon as daemon_tests
 from tests.test_daemon import _Client, _features
@@ -67,48 +66,13 @@ def store(model_dir):
     return ArtifactStore(root)
 
 
-def _start_cluster(model_dir, config, force_balancer=False):
-    """Start a cluster, forcing balancer mode via the env override for
-    exactly the duration of the mode decision."""
-    root, path = model_dir
-    cluster = ServeCluster(path, config, store_root=root)
-    previous = os.environ.get(NO_REUSEPORT_ENV)
-    if force_balancer:
-        os.environ[NO_REUSEPORT_ENV] = "1"
-    try:
-        cluster.start()
-    finally:
-        if force_balancer:
-            if previous is None:
-                os.environ.pop(NO_REUSEPORT_ENV, None)
-            else:
-                os.environ[NO_REUSEPORT_ENV] = previous
-    return cluster
-
-
 @pytest.fixture(scope="module")
-def shared_clusters(model_dir):
-    """Lazily-started module clusters, one per sharding mode."""
-    started = {}
-
-    def get(mode):
-        if mode == "reuseport" and not reuseport_available():
-            pytest.skip("SO_REUSEPORT unavailable on this platform")
-        if mode not in started:
-            config = ClusterConfig(
-                workers=2,
-                daemon=DaemonConfig(batch_window_ms=2.0),
-            )
-            cluster = _start_cluster(
-                model_dir, config, force_balancer=mode == "balancer"
-            )
-            assert cluster.mode == mode
-            started[mode] = cluster
-        return started[mode]
-
-    yield get
-    for cluster in started.values():
-        cluster.stop()
+def cluster(model_dir):
+    """The module's 2-worker cluster, shared by the wire suites."""
+    root, path = model_dir
+    config = ClusterConfig(workers=2, daemon=DaemonConfig(batch_window_ms=2.0))
+    with ServeCluster(path, config, store_root=root) as cluster:
+        yield cluster
 
 
 class _ClusterCounters:
@@ -138,11 +102,9 @@ class _ClusterServer:
 
 
 class _ClusterHarness(daemon_tests.DaemonHarness):
-    mode = None
-
     @pytest.fixture(autouse=True)
-    def _attach_cluster(self, shared_clusters):
-        self._cluster = shared_clusters(self.mode)
+    def _attach_cluster(self, cluster):
+        self._cluster = cluster
 
     @contextmanager
     def _run(self, store, config=None, **kwargs):
@@ -154,28 +116,13 @@ class _ClusterHarness(daemon_tests.DaemonHarness):
 class TestReuseportProtocol(_ClusterHarness, daemon_tests.TestProtocol):
     """The daemon protocol suite against kernel-sharded workers."""
 
-    mode = "reuseport"
-
 
 class TestReuseportFamilies(_ClusterHarness, daemon_tests.TestClassifierFamilies):
-    mode = "reuseport"
-
-
-class TestBalancerProtocol(_ClusterHarness, daemon_tests.TestProtocol):
-    """The same suite through the asyncio front-end balancer, forced via
-    ``REPRO_NO_REUSEPORT=1`` (the satellite's fallback coverage)."""
-
-    mode = "balancer"
-
-
-class TestBalancerFamilies(_ClusterHarness, daemon_tests.TestClassifierFamilies):
-    mode = "balancer"
+    """The classifier-family suite against kernel-sharded workers."""
 
 
 class TestClusterHealth:
-    @pytest.mark.parametrize("mode", ["reuseport", "balancer"])
-    def test_connections_shard_across_workers(self, shared_clusters, mode, dataset):
-        cluster = shared_clusters(mode)
+    def test_connections_shard_across_workers(self, cluster, dataset):
         seen = set()
         deadline = time.time() + 30.0
         while len(seen) < 2 and time.time() < deadline:
@@ -186,11 +133,7 @@ class TestClusterHealth:
         assert {worker for worker, _ in seen} == {0, 1}
         assert len({pid for _, pid in seen}) == 2
 
-    @pytest.mark.parametrize("mode", ["reuseport", "balancer"])
-    def test_wire_aggregate_healthz_merges_all_workers(
-        self, shared_clusters, mode, dataset
-    ):
-        cluster = shared_clusters(mode)
+    def test_wire_aggregate_healthz_merges_all_workers(self, cluster, dataset):
         client = _Client(cluster.address)
         client.ask({"id": 0, "features": _features(dataset)})
         merged = client.ask({"healthz": True, "aggregate": True, "id": "agg"})
@@ -205,18 +148,15 @@ class TestClusterHealth:
         assert {w["worker"] for w in health["workers"]} == {0, 1}
         assert health["gateway"]["admitted"] >= 1
 
-    def test_supervisor_healthz_matches_wire_aggregate(self, shared_clusters):
-        cluster = shared_clusters("reuseport")
+    def test_supervisor_healthz_matches_wire_aggregate(self, cluster):
         supervisor = cluster.healthz()
         assert supervisor["aggregate"] is True
         assert supervisor["cluster_size"] == 2
         assert supervisor["workers_alive"] == 2
-        assert supervisor["mode"] == "reuseport"
         assert "restarts" in supervisor
         assert "worker(s)" in cluster.summary()
 
-    def test_worker_healthz_carries_identity(self, shared_clusters):
-        cluster = shared_clusters("reuseport")
+    def test_worker_healthz_carries_identity(self, cluster):
         handle = cluster.workers[0]
         health = probe_healthz(*handle.control_address)
         assert health["worker"] == handle.worker_id
@@ -225,25 +165,20 @@ class TestClusterHealth:
 
 
 class TestSupervisorRestart:
-    @pytest.mark.parametrize("force_balancer", [False, True])
-    def test_kill_nine_survivors_keep_answering(
-        self, model_dir, dataset, force_balancer
-    ):
+    def test_kill_nine_survivors_keep_answering(self, model_dir, dataset, monkeypatch):
         """Chaos scenario 6's in-suite twin: kill -9 one worker; the
         survivor keeps answering through the shared port while the
         supervisor respawns the dead slot, and the healed cluster's
         aggregated counters balance."""
-        if not force_balancer and not reuseport_available():
-            pytest.skip("SO_REUSEPORT unavailable on this platform")
         # A 1s backoff leaves a real outage window: the survivors answer
         # while the dead slot is still down, *before* the replacement's
         # spawn (imports, artifact load) starts competing for the CPU.
-        config = ClusterConfig(
-            workers=2,
-            restart_backoff_s=1.0,
-            daemon=DaemonConfig(batch_window_ms=1.0),
-        )
-        cluster = _start_cluster(model_dir, config, force_balancer=force_balancer)
+        # The supervisor reads the constant in this process.
+        monkeypatch.setattr(multiproc, "RESTART_BACKOFF_S", 1.0)
+        root, path = model_dir
+        config = ClusterConfig(workers=2, daemon=DaemonConfig(batch_window_ms=1.0))
+        cluster = ServeCluster(path, config, store_root=root)
+        cluster.start()
         events = []
         cluster.on_event = events.append
         try:
@@ -295,7 +230,7 @@ class TestSupervisorRestart:
         with pytest.raises((WorkerStartupError, FileNotFoundError)):
             cluster = ServeCluster(
                 tmp_path / "nope.rma",
-                ClusterConfig(workers=1, ready_timeout_s=60.0),
+                ClusterConfig(workers=1),
             )
             cluster.start()
             cluster.stop()
@@ -303,30 +238,22 @@ class TestSupervisorRestart:
     def test_cluster_config_validation(self):
         with pytest.raises(ValueError, match="workers"):
             ClusterConfig(workers=0)
-        with pytest.raises(ValueError, match="restart_backoff_s"):
-            ClusterConfig(restart_backoff_s=0.0)
 
-
-class TestModeSelection:
-    def test_env_override_forces_balancer(self, model_dir, monkeypatch):
-        if not reuseport_available():
-            pytest.skip("SO_REUSEPORT unavailable on this platform")
-        monkeypatch.setenv(NO_REUSEPORT_ENV, "1")
-        assert reuseport_available() is False
-        cluster = ServeCluster(
-            model_dir[1],
-            ClusterConfig(workers=1),
-            store_root=model_dir[0],
+    def test_missing_reuseport_refuses_before_spawning(self, model_dir, monkeypatch):
+        """Without ``SO_REUSEPORT`` workers cannot share the port: start()
+        raises a typed error naming it and never spawns a worker."""
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
+        spawned = []
+        monkeypatch.setattr(
+            ServeCluster, "_spawn", lambda self, worker_id: spawned.append(worker_id)
         )
-        with cluster:
-            assert cluster.mode == "balancer"
-            assert cluster.address is not None
-
-    def test_env_override_zero_means_off(self, monkeypatch):
-        monkeypatch.delenv(NO_REUSEPORT_ENV, raising=False)
-        baseline = reuseport_available()
-        monkeypatch.setenv(NO_REUSEPORT_ENV, "0")
-        assert reuseport_available() == baseline
+        cluster = ServeCluster(
+            model_dir[1], ClusterConfig(workers=2), store_root=model_dir[0]
+        )
+        with pytest.raises(WorkerStartupError, match="SO_REUSEPORT"):
+            cluster.start()
+        assert spawned == []
+        assert cluster.workers == []
 
     def test_run_serves_until_sigterm(self, model_dir, dataset):
         """The CLI path: ``run()`` announces readiness, serves, drains on
